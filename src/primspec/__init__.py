@@ -20,12 +20,8 @@ from .classify import (  # noqa: F401
 from .ideals import (  # noqa: F401
     IdealLattice,
     IdealSet,
-    classify_ideal,
     enumerate_ideals,
-    ideal_arithmetic,
     ideal_generated_by,
-    nilradical,
-    radical,
 )
 from .rings import (  # noqa: F401
     CapExceededError,
@@ -41,7 +37,7 @@ from .rings import (  # noqa: F401
     parse_ring_spec,
     unit_and_nilpotent_flags,
 )
-from .spectra import Spectrum, build_spectrum, prime_variety, v_rad  # noqa: F401
+from .spectra import Spectrum, build_spectrum  # noqa: F401
 from .topology import (  # noqa: F401
     CoverageError,
     FiniteTopology,

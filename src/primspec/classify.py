@@ -17,6 +17,8 @@ from .ideals import (
     IdealLattice,
     enumerate_ideals,
     ideal_generated_by,
+    iter_bits,
+    mask_of,
 )
 from .rings import (
     DEFAULT_ELEMENT_CAP,
@@ -145,13 +147,13 @@ def star_condition(
         xr = opens[r]
         if not xr or xr == full:
             continue
-        union: set[int] = set()
+        union = 0
         family = []
         for s in range(1, ring.size):
-            if not xr <= opens[s]:
+            if xr & ~opens[s]:
                 union |= opens[s]
                 family.append(s)
-        if xr <= union:
+        if xr & ~union == 0:
             names = ring.element_names
             shown = [names[s] for s in family if opens[s]]
             return False, f"X_{names[r]} covered by basic opens of {shown}"
@@ -251,18 +253,13 @@ def closure_identity_check(
     """
     n_pts = len(spectrum.points)
     if n_pts <= exhaustive_limit:
-        candidates = (
-            frozenset(c)
-            for size in range(n_pts + 1)
-            for c in itertools.combinations(range(n_pts), size)
-        )
+        candidates = range(1 << n_pts)
     else:
         rng = random.Random(seed)
-        sampled = [frozenset(), spectrum.all_points()]
+        candidates = [0, spectrum.all_points()]
         for _ in range(samples):
             size = rng.randint(0, n_pts)
-            sampled.append(frozenset(rng.sample(range(n_pts), size)))
-        candidates = iter(sampled)
+            candidates.append(mask_of(rng.sample(range(n_pts), size)))
     for y in candidates:
         if spectrum.closure(y) != spectrum.variety(spectrum.xi(y)):
             return False, spectrum.render_point_set(y)
@@ -466,7 +463,7 @@ def verify_theorems(
     cls = a.classification
     rng = random.Random(seed)
     report = TheoremReport(ring.label, seed)
-    topo = prim.topology()
+    topo = prim.topology
     n_ideals = len(lattice)
     all_pts = prim.all_points()
     varieties = [prim.variety(i) for i in range(n_ideals)]
@@ -478,7 +475,7 @@ def verify_theorems(
         report,
         "variety-extremes",
         varieties[lattice.zero_id] == all_pts
-        and varieties[lattice.unit_id] == frozenset(),
+        and varieties[lattice.unit_id] == 0,
     )
 
     holds, witness = True, None
@@ -518,7 +515,7 @@ def verify_theorems(
     holds, witness = True, None
     for i in range(n_ideals):
         for j in range(n_ideals):
-            if lattice.contains_ideal(i, j) and not varieties[j] <= varieties[i]:
+            if lattice.contains_ideal(i, j) and varieties[j] & ~varieties[i]:
                 holds, witness = False, f"{lattice.render(i)} in {lattice.render(j)}"
     _law(report, "variety-antitone", holds, witness)
 
@@ -530,7 +527,7 @@ def verify_theorems(
 
     # basic opens ------------------------------------------------------------
     base_ok, base_witness = prim.is_base()
-    unit_laws = x[0] == frozenset() and x[ring.one_index] == all_pts
+    unit_laws = x[0] == 0 and x[ring.one_index] == all_pts
     for r in range(ring.size):
         if unit_and_nilpotent_flags(ring, r)[0] and x[r] != all_pts:
             unit_laws = False
@@ -538,7 +535,7 @@ def verify_theorems(
         report,
         "basic-opens-form-base",
         base_ok and unit_laws,
-        None if base_ok else f"open {sorted(base_witness)} is not a union of basics",
+        None if base_ok else f"open {list(iter_bits(base_witness))} is not a union of basics",
     )
 
     holds, witness = True, None
@@ -561,7 +558,7 @@ def verify_theorems(
 
     holds, witness = True, None
     for r in range(ring.size):
-        if (x[r] == frozenset()) != unit_and_nilpotent_flags(ring, r)[1]:
+        if (x[r] == 0) != unit_and_nilpotent_flags(ring, r)[1]:
             holds, witness = False, names[r]
     _law(report, "basic-open-empty-iff-nilpotent", holds, witness)
 
@@ -569,18 +566,18 @@ def verify_theorems(
     distinct_opens = prim.basic_open_family()
     for r in range(ring.size):
         chosen = is_quasi_compact(topo, x[r], distinct_opens)
-        covered: set[int] = set()
+        covered = 0
         for i in chosen:
             covered |= distinct_opens[i]
-        if not x[r] <= covered:
+        if x[r] & ~covered:
             holds, witness = False, names[r]
     _law(report, "basic-open-quasi-compact", holds, witness)
 
     chosen = is_quasi_compact(topo, all_pts, distinct_opens)
-    covered = set()
+    covered = 0
     for i in chosen:
         covered |= distinct_opens[i]
-    _law(report, "space-quasi-compact", all_pts <= covered)
+    _law(report, "space-quasi-compact", all_pts & ~covered == 0)
 
     # star condition ---------------------------------------------------------
     nonzero_primes = [i for i in cls.prime_ideals if lattice.mask(i) != 1]
@@ -635,16 +632,16 @@ def verify_theorems(
 
     holds, witness = True, None
     for pos, ideal_id in enumerate(prim.points):
-        if prim.closure({pos}) != varieties[ideal_id]:
+        if prim.closure(1 << pos) != varieties[ideal_id]:
             holds, witness = False, prim.render_point(pos)
     _law(report, "point-closure-is-variety", holds, witness)
 
     holds, witness = True, None
     for pos_i, i in enumerate(prim.points):
-        closure_i = prim.closure({pos_i})
+        closure_i = prim.closure(1 << pos_i)
         for pos_j, j in enumerate(prim.points):
             expected = lattice.mask(i) & ~lattice.mask(lattice.radical_ids[j]) == 0
-            if (pos_j in closure_i) != expected:
+            if (closure_i >> pos_j & 1 == 1) != expected:
                 holds, witness = False, f"{lattice.render(i)}, {lattice.render(j)}"
     _law(report, "specialization-radical-test", holds, witness)
 
@@ -699,6 +696,8 @@ def verify_theorems(
     )
 
     supercompact, sc_witness = is_supercompact(topo)
+    if not supercompact:
+        sc_witness = ", ".join(map(prim.render_point_set, sc_witness))
     _iff(
         report,
         "local-iff-supercompact",

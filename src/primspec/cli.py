@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .classify import (
     a_conditions,
@@ -21,7 +20,7 @@ from .classify import (
     verify_theorems,
 )
 from .corpus import default_corpus, load_corpus
-from .ideals import DEFAULT_IDEAL_CAP
+from .ideals import DEFAULT_IDEAL_CAP, iter_bits
 from .report import build_report, dot_ideal_lattice, dot_specialization
 from .rings import (
     DEFAULT_ELEMENT_CAP,
@@ -240,7 +239,7 @@ def cmd_spec(args) -> int:
 
 def cmd_check(args) -> int:
     a = _analyze(args)
-    topo = a.prim.topology()
+    topo = a.prim.topology
     cls = a.classification
     prop = args.property
     detail = None
@@ -254,17 +253,19 @@ def cmd_check(args) -> int:
         value = is_spectral(topo, a.prim.basic_open_family())
     elif prop == "irreducible":
         value, wit = topo_is_irreducible(topo)
-        detail = None if value else f"witness {wit}"
+        if not value:
+            detail = "witness " + ", ".join(map(a.prim.render_point_set, wit))
     elif prop == "supercompact":
         value, wit = is_supercompact(topo)
-        detail = None if value else f"covering family {wit}"
+        if not value:
+            detail = "covering family " + ", ".join(map(a.prim.render_point_set, wit))
     elif prop == "quasi-compact":
         chosen = is_quasi_compact(topo, a.prim.all_points(), a.prim.basic_open_family())
         value = True
         detail = f"subcover of {len(chosen)} basic opens"
     elif prop == "base":
         value, wit = a.prim.is_base()
-        detail = None if value else f"open {sorted(wit)} not a union of basics"
+        detail = None if value else f"open {list(iter_bits(wit))} not a union of basics"
     elif prop == "local":
         value = cls.is_local
     elif prop == "field":
@@ -314,11 +315,10 @@ def _suite_for_entry(entry, args):
 
 def cmd_verify_paper(args) -> int:
     entries = load_corpus(args.corpus, args.max_elements) if args.corpus else default_corpus()
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(entries)))) as pool:
-        results = list(pool.map(lambda e: _suite_for_entry(e, args), entries))
     total_fail = 0
     rows = []
-    for entry, (report, elapsed) in zip(entries, results):
+    for entry in entries:
+        report, elapsed = _suite_for_entry(entry, args)
         failed = report.failures()
         passed = sum(1 for e in report.entries if e.passed and e.applicable)
         na = sum(1 for e in report.entries if not e.applicable)

@@ -31,6 +31,11 @@ def mask_of(indices) -> int:
     return mask
 
 
+def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the canonical order of bit-sets: cardinality, then members."""
+    return mask.bit_count(), tuple(iter_bits(mask))
+
+
 @dataclass(frozen=True)
 class IdealSet:
     """A subset of ring-element indices closed under + and ring *."""
@@ -131,7 +136,7 @@ class IdealLattice:
 
     def __init__(self, ring: FiniteRing, masks: list[int]):
         self.ring = ring
-        order = sorted(masks, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
+        order = sorted(masks, key=canonical_key)
         self.ideals = [IdealSet(ring, m) for m in order]
         self.id_by_mask = {m: i for i, m in enumerate(order)}
         full = (1 << ring.size) - 1
@@ -275,28 +280,3 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = DEFAULT_IDEAL_CAP) -> I
                 queue.append(s)
     return IdealLattice(ring, list(masks))
 
-
-def ideal_arithmetic(lattice: IdealLattice, op: str, a: int, b: int) -> int:
-    """Sum, product or intersection of two lattice ideals, as a lattice id."""
-    if op == "sum":
-        return lattice.sum_id(a, b)
-    if op == "product":
-        return lattice.product_id(a, b)
-    if op == "intersection":
-        return lattice.intersection_id(a, b)
-    raise ValueError(f"unknown ideal operation {op!r}")
-
-
-def classify_ideal(lattice: IdealLattice, a: int) -> tuple[bool, bool, bool]:
-    """(is_prime, is_maximal, is_primary) for a lattice ideal."""
-    return lattice.prime[a], lattice.maximal[a], lattice.primary[a]
-
-
-def radical(lattice: IdealLattice, a: int) -> int:
-    """Lattice id of the radical of an ideal."""
-    return lattice.radical_ids[a]
-
-
-def nilradical(lattice: IdealLattice) -> int:
-    """Lattice id of the nilradical (radical of the zero ideal)."""
-    return lattice.nilradical_id()

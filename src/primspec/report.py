@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import __version__
 from .classify import RingAnalysis, TheoremReport
-from .ideals import IdealLattice
+from .ideals import IdealLattice, iter_bits
 from .spectra import Spectrum
 
 
@@ -22,7 +22,7 @@ def spectrum_block(spectrum: Spectrum) -> dict:
         "closed_sets": [
             {
                 "ideal_ids": sorted(spectrum.generating_ideals[idx]),
-                "point_ids": sorted(closed),
+                "point_ids": list(iter_bits(closed)),
             }
             for idx, closed in enumerate(spectrum.closed_sets)
         ],
@@ -113,7 +113,7 @@ def dot_specialization(spectrum: Spectrum) -> str:
     for pos in range(len(spectrum.points)):
         lines.append(f'  n{pos} [label="{spectrum.render_point(pos)}"];')
     for pos in range(len(spectrum.points)):
-        for other in sorted(spectrum.closure({pos})):
+        for other in iter_bits(spectrum.closure(1 << pos)):
             if other != pos:
                 lines.append(f"  n{pos} -> n{other};")
     lines.append("}")

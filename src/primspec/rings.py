@@ -37,6 +37,13 @@ class CapExceededError(RuntimeError):
     """A construction would exceed a configured cap."""
 
 
+def _over_cap(size: int, cap: int) -> CapExceededError:
+    # a size past 64 bits is shown by magnitude: formatting an unbounded int
+    # costs time and fails past the interpreter's digit limit
+    shown = size if size.bit_length() <= 64 else f"at least 2^{size.bit_length() - 1}"
+    return CapExceededError(f"ring of size {shown} exceeds element cap {cap}")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -184,14 +191,27 @@ class _Parser:
             self.error(f"expected '{ch}'")
         self.pos += 1
 
-    def parse_uint(self) -> int:
+    def _digits(self) -> str:
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             self.error("expected integer")
-        return int(self.text[start : self.pos])
+        return self.text[start : self.pos]
+
+    def parse_uint(self) -> int:
+        return int(self._digits())
+
+    def parse_size_bound(self) -> int:
+        """An integer the ring size is at least; a literal with more digits
+        than the cap is rejected before it is converted."""
+        digits = self._digits().lstrip("0") or "0"
+        if len(digits) > len(str(self.cap)):
+            raise CapExceededError(
+                f"ring of size at least 10^{len(digits) - 1} exceeds element cap {self.cap}"
+            )
+        return int(digits)
 
     def parse_name(self) -> str:
         self.skip_ws()
@@ -206,7 +226,7 @@ class _Parser:
         name = self.parse_name()
         if name == "Zn":
             self.expect("(")
-            n = self.parse_uint()
+            n = self.parse_size_bound()
             self.expect(")")
             if n < 2:
                 self.error("Zn modulus must be at least 2")
@@ -214,23 +234,25 @@ class _Parser:
             return ZnSpec(n)
         if name == "GF":
             self.expect("(")
-            first = self.parse_uint()
+            first = self.parse_size_bound()
             if self.peek() == "^":
                 self.pos += 1
                 k = self.parse_uint()
                 self.expect(")")
-                if not is_prime(first):
-                    self.error(f"{first} is not prime")
                 if k < 1:
                     self.error("GF exponent must be at least 1")
+                if first >= 2:  # cap first, so the trial division stays cheap
+                    self._check_power_cap(first, k)
+                if not is_prime(first):
+                    self.error(f"{first} is not prime")
                 p = first
             else:
                 self.expect(")")
+                self._check_cap(first)
                 pk = prime_power(first)
                 if pk is None:
                     self.error(f"{first} is not a prime power")
                 p, k = pk
-            self._check_cap(p**k)
             return GFSpec(p, k)
         if name == "Quot":
             self.expect("(")
@@ -238,11 +260,11 @@ class _Parser:
             if not isinstance(base, (ZnSpec, GFSpec)):
                 self.error("Quot base must be Zn or GF")
             self.expect(",")
-            modulus = self.parse_poly(spec_characteristic(base))
+            coeffs = self.parse_poly(spec_characteristic(base))
             self.expect(")")
-            size = spec_size(base) ** (len(modulus) - 1)
-            self._check_cap(size)
-            return QuotSpec(base, modulus)
+            degree = max(coeffs)
+            self._check_power_cap(spec_size(base), degree)
+            return QuotSpec(base, tuple(coeffs.get(e, 0) for e in range(degree + 1)))
         if name == "Prod":
             self.expect("(")
             left = self.parse_expr()
@@ -253,7 +275,9 @@ class _Parser:
             return ProdSpec(left, right)
         self.error(f"unknown constructor '{name}'")
 
-    def parse_poly(self, char: int) -> tuple[int, ...]:
+    def parse_poly(self, char: int) -> dict[int, int]:
+        """Monic polynomial of degree >= 1, as {exponent: nonzero coefficient
+        mod char}."""
         coeffs: dict[int, int] = {}
         sign = 1
         if self.peek() == "-":
@@ -270,13 +294,13 @@ class _Parser:
             else:
                 break
             self.pos += 1
-        degree = max((e for e, c in coeffs.items() if c % char), default=0)
+        reduced = {e: c % char for e, c in coeffs.items() if c % char}
+        degree = max(reduced, default=0)
         if degree < 1:
             self.error("modulus must have degree at least 1")
-        out = tuple(coeffs.get(e, 0) % char for e in range(degree + 1))
-        if out[-1] != 1:
+        if reduced[degree] != 1:
             self.error("modulus must be monic")
-        return out
+        return reduced
 
     def parse_term(self) -> tuple[int, int]:
         ch = self.peek()
@@ -305,9 +329,17 @@ class _Parser:
 
     def _check_cap(self, size: int):
         if size > self.cap:
+            raise _over_cap(size, self.cap)
+
+    def _check_power_cap(self, base: int, exp: int):
+        """Cap check on a size base^exp with base >= 2 that never builds a
+        power beyond the square of the cap."""
+        low_bits = exp * (base.bit_length() - 1)  # base^exp >= 2^low_bits
+        if low_bits >= self.cap.bit_length():
             raise CapExceededError(
-                f"ring of size {size} exceeds element cap {self.cap}"
+                f"ring of size at least 2^{low_bits} exceeds element cap {self.cap}"
             )
+        self._check_cap(base**exp)
 
 
 def parse_ring_spec(text: str, max_elements: int = DEFAULT_ELEMENT_CAP) -> RingSpecExpr:
@@ -571,7 +603,7 @@ def build_ring(spec: RingSpecExpr, max_elements: int = DEFAULT_ELEMENT_CAP) -> F
     """Materialize the ring described by a validated spec expression."""
     size = spec_size(spec)
     if size > max_elements:
-        raise CapExceededError(f"ring of size {size} exceeds element cap {max_elements}")
+        raise _over_cap(size, max_elements)
     if isinstance(spec, ZnSpec):
         if spec.n < 2:
             raise RingSpecError("Zn modulus must be at least 2")

@@ -2,18 +2,21 @@
 
 The primary spectrum has point set Prim(R) (all primary ideals) and closed
 sets ``variety(I) = {Q : I contained in the radical of Q}``; the prime
-spectrum uses the classical ``{P : I contained in P}``.  Closed sets are
-stored deduplicated, each with back-references to every generating ideal.
+spectrum uses the classical ``{P : I contained in P}``.  Point sets are int
+bit-masks over point positions: bit i stands for ``points[i]``.  Closed sets
+are stored deduplicated, each with back-references to every generating
+ideal.
 """
 
 from __future__ import annotations
 
-from .ideals import IdealLattice, mask_of
-from .topology import FiniteTopology, TopologyAxiomError
+from .ideals import IdealLattice, canonical_key, iter_bits, mask_of
+from .topology import FiniteTopology, uncovered_open
 
 
 class Spectrum:
-    """Point set plus deduplicated closed-set family for one variety kind."""
+    """Point set plus the closed-set family of one variety kind, held as a
+    single validated ``FiniteTopology``."""
 
     def __init__(self, lattice: IdealLattice, kind: str):
         if kind not in ("prime", "primary"):
@@ -29,134 +32,78 @@ class Spectrum:
             self._point_masks = [
                 lattice.mask(lattice.radical_ids[i]) for i in self.points
             ]
-        by_set: dict[frozenset[int], list[int]] = {}
-        for ideal_id in range(len(lattice)):
-            closed = self._variety_of_mask(lattice.mask(ideal_id))
+        varieties = [self._variety_of_mask(lattice.mask(i)) for i in range(len(lattice))]
+        by_set: dict[int, list[int]] = {}
+        for ideal_id, closed in enumerate(varieties):
             by_set.setdefault(closed, []).append(ideal_id)
-        self.closed_sets = sorted(by_set, key=lambda s: (len(s), sorted(s)))
-        self.closed_index = {s: i for i, s in enumerate(self.closed_sets)}
+        self.topology = FiniteTopology(len(self.points), by_set.keys())
+        self.closed_sets = self.topology.closed_sets
+        closed_index = {s: i for i, s in enumerate(self.closed_sets)}
         self.generating_ideals = [by_set[s] for s in self.closed_sets]
-        self.variety_index_by_ideal = {
-            ideal_id: self.closed_index[self._variety_of_mask(lattice.mask(ideal_id))]
-            for ideal_id in range(len(lattice))
-        }
-        self._verify_axioms()
-        self._basic_opens: list[frozenset[int]] | None = None
+        self.variety_index_by_ideal = [closed_index[v] for v in varieties]
+        self._basic_opens: list[int] | None = None
 
     # -- varieties -----------------------------------------------------------
 
-    def _variety_of_mask(self, element_mask: int) -> frozenset[int]:
-        return frozenset(
-            pos
-            for pos, pm in enumerate(self._point_masks)
-            if element_mask & ~pm == 0
-        )
+    def _variety_of_mask(self, element_mask: int) -> int:
+        out = 0
+        for pos, pm in enumerate(self._point_masks):
+            if element_mask & ~pm == 0:
+                out |= 1 << pos
+        return out
 
-    def variety(self, ideal_id: int) -> frozenset[int]:
-        """Closed set of an ideal, as a set of point positions."""
+    def variety(self, ideal_id: int) -> int:
+        """Closed set of an ideal, as a point mask."""
         return self.closed_sets[self.variety_index_by_ideal[ideal_id]]
 
-    def variety_of_elements(self, elements) -> frozenset[int]:
+    def variety_of_elements(self, elements) -> int:
         """Closed set of an arbitrary element subset, straight from the definition."""
         return self._variety_of_mask(mask_of(elements))
 
-    def basic_open(self, r: int) -> frozenset[int]:
+    def basic_open(self, r: int) -> int:
         """Complement of the variety of a single element."""
-        return self.all_points() - self._variety_of_mask(1 << r)
+        return self.topology.full ^ self._variety_of_mask(1 << r)
 
-    def all_points(self) -> frozenset[int]:
-        return frozenset(range(len(self.points)))
+    def all_points(self) -> int:
+        return self.topology.full
 
-    def basic_open_family(self) -> list[frozenset[int]]:
+    def basic_open_family(self) -> list[int]:
         """Deduplicated basic opens, canonically ordered."""
         if self._basic_opens is None:
             distinct = {self.basic_open(r) for r in range(self.lattice.ring.size)}
-            self._basic_opens = sorted(distinct, key=lambda s: (len(s), sorted(s)))
+            self._basic_opens = sorted(distinct, key=canonical_key)
         return self._basic_opens
 
     # -- topology ------------------------------------------------------------
 
-    def topology(self) -> FiniteTopology:
-        return FiniteTopology(len(self.points), self.closed_sets)
-
-    def closure(self, point_set) -> frozenset[int]:
+    def closure(self, point_set: int) -> int:
         """Smallest closed superset; computed from the closed family alone."""
-        wanted = frozenset(point_set)
-        out = self.all_points()
-        for closed in self.closed_sets:
-            if wanted <= closed and len(closed) < len(out):
-                out = closed
-        return out
+        return self.topology.closure(point_set)
 
-    def xi(self, point_set) -> int:
+    def xi(self, point_set: int) -> int:
         """Lattice id of the intersection of the ideals underlying the points.
 
         The empty set yields the unit ideal (empty-intersection convention).
         """
-        points = sorted(point_set)
-        if not points:
-            return self.lattice.unit_id
         mask = (1 << self.lattice.ring.size) - 1
-        for pos in points:
+        for pos in iter_bits(point_set):
             mask &= self.lattice.mask(self.points[pos])
         return self.lattice.id_of(mask)
 
-    def is_base(self) -> tuple[bool, frozenset[int] | None]:
-        """Do the basic opens generate every open set by union?"""
-        basics = self.basic_open_family()
-        full = self.all_points()
-        for closed in self.closed_sets:
-            open_set = full - closed
-            union: set[int] = set()
-            for b in basics:
-                if b <= open_set:
-                    union |= b
-            if union != open_set:
-                return False, open_set
-        return True, None
+    def is_base(self) -> tuple[bool, int | None]:
+        """Do the basic opens generate every open set by union?  On failure
+        the second value is the first open they miss."""
+        missed = uncovered_open(self.topology, self.basic_open_family())
+        return missed is None, missed
 
     def render_point(self, pos: int) -> str:
         return self.lattice.render(self.points[pos])
 
-    def render_point_set(self, point_set) -> str:
-        inner = ", ".join(self.render_point(p) for p in sorted(point_set))
+    def render_point_set(self, point_set: int) -> str:
+        inner = ", ".join(self.render_point(p) for p in iter_bits(point_set))
         return "{" + inner + "}"
-
-    # -- construction checks ---------------------------------------------------
-
-    def _verify_axioms(self):
-        family = set(self.closed_sets)
-        full = self.all_points()
-        if frozenset() not in family:
-            raise TopologyAxiomError("closed family lacks the empty set")
-        if full not in family:
-            raise TopologyAxiomError("closed family lacks the full point set")
-        for a in self.closed_sets:
-            for b in self.closed_sets:
-                if a | b not in family:
-                    raise TopologyAxiomError("closed family not closed under union")
-                if a & b not in family:
-                    raise TopologyAxiomError(
-                        "closed family not closed under intersection"
-                    )
 
 
 def build_spectrum(lattice: IdealLattice, kind: str) -> Spectrum:
     """Spectrum of the given kind with its closed-set family verified."""
     return Spectrum(lattice, kind)
-
-
-def v_rad(spectrum: Spectrum, subset) -> frozenset[int]:
-    """Variety of an ideal id or of a set of element indices."""
-    if spectrum.kind != "primary":
-        raise ValueError("v_rad is defined on the primary spectrum")
-    if isinstance(subset, int):
-        return spectrum.variety(subset)
-    return spectrum.variety_of_elements(subset)
-
-
-def prime_variety(spectrum: Spectrum, ideal_id: int) -> frozenset[int]:
-    """Classical variety of an ideal on the prime spectrum."""
-    if spectrum.kind != "prime":
-        raise ValueError("prime_variety is defined on the prime spectrum")
-    return spectrum.variety(ideal_id)

@@ -1,13 +1,16 @@
 """Property checkers for finite topological spaces given by closed sets.
 
-Open sets are derived from the closed family by complementation on demand;
-the closed family is the single source of truth.  All checkers are pure
-functions over immutable inputs.
+Point sets are int bit-masks: bit i stands for point i.  Open sets are
+derived from the closed family by complementation; the closed family is the
+single source of truth.  All checkers are pure functions over immutable
+inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .ideals import canonical_key, iter_bits
 
 
 class TopologyAxiomError(RuntimeError):
@@ -19,29 +22,28 @@ class CoverageError(ValueError):
 
 
 class FiniteTopology:
-    """Finite topological space: ``point_count`` points plus closed sets."""
+    """Finite topological space: ``point_count`` points plus closed sets.
 
-    def __init__(self, point_count: int, closed_sets, validate: bool = True):
+    The closed family is validated once, here; ``closed_sets`` and ``opens``
+    are deduplicated and in canonical order.
+    """
+
+    def __init__(self, point_count: int, closed_sets):
         self.point_count = point_count
-        self.closed_sets = sorted(
-            {frozenset(c) for c in closed_sets}, key=lambda s: (len(s), sorted(s))
-        )
-        self.full = frozenset(range(point_count))
-        self._closed_set_set = set(self.closed_sets)
-        if validate:
-            self._validate()
-        self.opens = sorted(
-            {self.full - c for c in self.closed_sets}, key=lambda s: (len(s), sorted(s))
-        )
-        self._closures: dict[int, frozenset[int]] | None = None
+        self.full = (1 << point_count) - 1
+        self._closed_set_set = set(closed_sets)
+        self.closed_sets = sorted(self._closed_set_set, key=canonical_key)
+        self._validate()
+        self.opens = sorted({self.full ^ c for c in self.closed_sets}, key=canonical_key)
+        self._closures: list[int] | None = None
 
     def _validate(self):
-        if frozenset() not in self._closed_set_set:
+        if 0 not in self._closed_set_set:
             raise TopologyAxiomError("missing empty closed set")
         if self.full not in self._closed_set_set:
             raise TopologyAxiomError("missing full closed set")
         for a in self.closed_sets:
-            if not a <= self.full:
+            if a & ~self.full:
                 raise TopologyAxiomError("closed set contains unknown points")
             for b in self.closed_sets:
                 if a | b not in self._closed_set_set:
@@ -49,20 +51,18 @@ class FiniteTopology:
                 if a & b not in self._closed_set_set:
                     raise TopologyAxiomError("family not closed under intersection")
 
-    def is_closed(self, subset) -> bool:
-        return frozenset(subset) in self._closed_set_set
+    def is_closed(self, subset: int) -> bool:
+        return subset in self._closed_set_set
 
-    def closure(self, subset) -> frozenset[int]:
-        wanted = frozenset(subset)
-        out = self.full
-        for c in self.closed_sets:
-            if wanted <= c and len(c) < len(out):
-                out = c
-        return out
+    def closure(self, subset: int) -> int:
+        """Smallest closed superset, from the closed family alone."""
+        # closed_sets ascend by size and the family is closed under
+        # intersection, so the first closed superset is the smallest one
+        return next(c for c in self.closed_sets if subset & ~c == 0)
 
-    def point_closures(self) -> dict[int, frozenset[int]]:
+    def point_closures(self) -> list[int]:
         if self._closures is None:
-            self._closures = {x: self.closure({x}) for x in range(self.point_count)}
+            self._closures = [self.closure(1 << x) for x in range(self.point_count)]
         return self._closures
 
 
@@ -87,11 +87,11 @@ def separation_axioms(t: FiniteTopology) -> SeparationResult:
             if closures[x] == closures[y] and t0_witness is None:
                 t0_witness = (x, y)
     for x in range(t.point_count):
-        if not t.is_closed({x}):
-            other = next(iter(closures[x] - {x}), x)
+        if not t.is_closed(1 << x):
+            other = next(iter_bits(closures[x] & ~(1 << x)), x)
             t1_witness = (x, other)
             break
-    opens_with = [[u for u in t.opens if x in u] for x in range(t.point_count)]
+    opens_with = [[u for u in t.opens if u >> x & 1] for x in range(t.point_count)]
     for x in range(t.point_count):
         for y in range(x + 1, t.point_count):
             if not any(
@@ -108,19 +108,17 @@ def separation_axioms(t: FiniteTopology) -> SeparationResult:
 
 
 def is_irreducible(
-    t: FiniteTopology, subset=None
-) -> tuple[bool, tuple[frozenset[int], frozenset[int]] | None]:
+    t: FiniteTopology, subset: int | None = None
+) -> tuple[bool, tuple[int, int] | None]:
     """Irreducibility of a subspace (default: the whole space).
 
     Returns the verdict plus, when reducible, two proper relatively-closed
     subsets covering the subspace.  The empty set is not irreducible.
     """
-    space = t.full if subset is None else frozenset(subset)
+    space = t.full if subset is None else subset
     if not space:
         return False, None
-    relative = sorted(
-        {c & space for c in t.closed_sets}, key=lambda s: (len(s), sorted(s))
-    )
+    relative = sorted({c & space for c in t.closed_sets}, key=canonical_key)
     proper = [c for c in relative if c != space]
     for i, a in enumerate(proper):
         for b in proper[i + 1 :]:
@@ -129,9 +127,9 @@ def is_irreducible(
     return True, None
 
 
-def irreducible_open_characterization(t: FiniteTopology, subset=None) -> bool:
+def irreducible_open_characterization(t: FiniteTopology, subset: int | None = None) -> bool:
     """Irreducibility via "any two nonempty relatively-open sets intersect"."""
-    space = t.full if subset is None else frozenset(subset)
+    space = t.full if subset is None else subset
     if not space:
         return False
     rel_opens = [u & space for u in t.opens]
@@ -139,9 +137,7 @@ def irreducible_open_characterization(t: FiniteTopology, subset=None) -> bool:
     return all(a & b for a in nonempty for b in nonempty)
 
 
-def irreducible_closed_with_generic_points(
-    t: FiniteTopology,
-) -> list[tuple[frozenset[int], frozenset[int]]]:
+def irreducible_closed_with_generic_points(t: FiniteTopology) -> list[tuple[int, int]]:
     """Each irreducible member of the closed family with its generic points.
 
     A generic point of a closed set C is a point whose closure equals C.
@@ -150,7 +146,10 @@ def irreducible_closed_with_generic_points(
     out = []
     for c in t.closed_sets:
         if is_irreducible(t, c)[0]:
-            generics = frozenset(x for x in range(t.point_count) if closures[x] == c)
+            generics = 0
+            for x in range(t.point_count):
+                if closures[x] == c:
+                    generics |= 1 << x
             out.append((c, generics))
     return out
 
@@ -158,44 +157,46 @@ def irreducible_closed_with_generic_points(
 def is_sober(t: FiniteTopology) -> bool:
     """Every irreducible closed set has exactly one generic point."""
     return all(
-        len(generics) == 1
+        generics.bit_count() == 1
         for _, generics in irreducible_closed_with_generic_points(t)
     )
 
 
-def is_quasi_compact(t: FiniteTopology, subset, cover) -> list[int]:
+def is_quasi_compact(t: FiniteTopology, subset: int, cover: list[int]) -> list[int]:
     """Greedy finite subcover of ``subset`` from ``cover`` (a list of opens).
 
     Returns indices into ``cover``; raises CoverageError when the family
     does not cover the subset.
     """
-    target = frozenset(subset)
-    cover = [frozenset(c) for c in cover]
-    union: set[int] = set()
+    union = 0
     for c in cover:
         union |= c
-    if not target <= union:
-        raise CoverageError(f"family misses points {sorted(target - union)}")
-    remaining = set(target)
+    if subset & ~union:
+        raise CoverageError(f"family misses points {list(iter_bits(subset & ~union))}")
+    remaining = subset
     chosen: list[int] = []
     while remaining:
         best, best_gain = -1, 0
         for i, c in enumerate(cover):
-            gain = len(c & remaining)
+            gain = (c & remaining).bit_count()
             if gain > best_gain:
                 best, best_gain = i, gain
         chosen.append(best)
-        remaining -= cover[best]
+        remaining &= ~cover[best]
     return chosen
 
 
-def quasi_compact_opens(t: FiniteTopology) -> list[frozenset[int]]:
-    """Opens certified quasi-compact by running the subcover extractor."""
-    out = []
+def uncovered_open(t: FiniteTopology, family) -> int | None:
+    """First open, in canonical order, that is not the union of the members
+    of ``family`` inside it; None when the family generates every open."""
     for u in t.opens:
-        is_quasi_compact(t, u, t.opens)
-        out.append(u)
-    return out
+        union = 0
+        for b in family:
+            if b & ~u == 0:
+                union |= b
+        if union != u:
+            return u
+    return None
 
 
 def is_spectral(t: FiniteTopology, candidate_base=None) -> bool:
@@ -203,7 +204,8 @@ def is_spectral(t: FiniteTopology, candidate_base=None) -> bool:
     pairwise intersection.
 
     When ``candidate_base`` is given it is used as the base family;
-    otherwise all quasi-compact opens are used.
+    otherwise all opens are used (every open of a finite space is
+    quasi-compact).
     """
     try:
         is_quasi_compact(t, t.full, t.opens)
@@ -211,27 +213,13 @@ def is_spectral(t: FiniteTopology, candidate_base=None) -> bool:
         return False
     if not is_sober(t):
         return False
-    qc = set(quasi_compact_opens(t))
-    family = (
-        sorted({frozenset(b) for b in candidate_base}, key=lambda s: (len(s), sorted(s)))
-        if candidate_base is not None
-        else list(qc)
-    )
-    if any(b not in qc for b in family):
+    opens = set(t.opens)
+    family = opens if candidate_base is None else set(candidate_base)
+    if not family <= opens:
         return False
-    family_set = set(family)
-    for a in family:
-        for b in family:
-            if a & b not in family_set:
-                return False
-    for u in t.opens:
-        union: set[int] = set()
-        for b in family:
-            if b <= u:
-                union |= b
-        if union != u:
-            return False
-    return True
+    if any(a & b not in family for a in family for b in family):
+        return False
+    return uncovered_open(t, family) is None
 
 
 def is_supercompact(t: FiniteTopology):
@@ -241,11 +229,10 @@ def is_supercompact(t: FiniteTopology):
     Returns (True, uncovered point) or (False, covering family of proper opens).
     """
     proper = [u for u in t.opens if u != t.full]
-    union: set[int] = set()
+    union = 0
     for u in proper:
         union |= u
     if union != t.full:
-        missing = min(t.full - union) if t.full else None
-        return True, missing
+        return True, next(iter_bits(t.full & ~union))
     chosen = is_quasi_compact(t, t.full, proper)
     return False, [proper[i] for i in chosen]

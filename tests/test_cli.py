@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -82,6 +83,24 @@ def test_validation_error_exit_2(capsys):
 def test_cap_error_exit_3(capsys):
     code, _, err = run(capsys, "info", "Zn(2000)")
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "GF(2305843009213693951)",  # prime: trial division would run for hours
+        "GF(2305843009213693951^2)",
+        "GF(2^100000)",  # size past the int-to-str digit limit
+        "Zn(1" + "0" * 5000 + ")",  # literal past the str-to-int digit limit
+        "Quot(Zn(2), x^3000000+1)",  # 3 M coefficients if built
+    ],
+    ids=["gf-big-prime", "gf-big-prime-squared", "gf-2-pow-100000", "zn-5001-digits", "quot-degree-3M"],
+)
+def test_oversized_spec_rejected_fast_exit_3(capsys, spec):
+    started = time.perf_counter()
+    code, _, err = run(capsys, "info", spec)
+    assert time.perf_counter() - started < 2.0
+    assert code == 3 and "exceeds element cap" in err
 
 
 def test_z_vrad_rendering(capsys):

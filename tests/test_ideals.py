@@ -4,15 +4,7 @@ import itertools
 
 import pytest
 
-from primspec.ideals import (
-    classify_ideal,
-    enumerate_ideals,
-    ideal_arithmetic,
-    ideal_generated_by,
-    mask_of,
-    nilradical,
-    radical,
-)
+from primspec.ideals import enumerate_ideals, ideal_generated_by, mask_of
 from primspec.rings import CapExceededError, build_ring, parse_ring_spec, unit_and_nilpotent_flags
 
 
@@ -78,50 +70,52 @@ def test_ideal_cap():
 def test_arithmetic_examples():
     lat = _lattice("Zn(12)")
     i4, i3 = _id(lat, [0, 4, 8]), _id(lat, [0, 3, 6, 9])
-    assert ideal_arithmetic(lat, "product", i4, i3) == lat.zero_id
-    assert ideal_arithmetic(lat, "intersection", i4, i3) == lat.zero_id
-    assert ideal_arithmetic(lat, "sum", i4, i3) == lat.unit_id
+    assert lat.product_id(i4, i3) == lat.zero_id
+    assert lat.intersection_id(i4, i3) == lat.zero_id
+    assert lat.sum_id(i4, i3) == lat.unit_id
     lat6 = _lattice("Zn(6)")
     i2, i3 = _id(lat6, [0, 2, 4]), _id(lat6, [0, 3])
-    assert ideal_arithmetic(lat6, "intersection", i2, i3) == lat6.zero_id
-    with pytest.raises(ValueError):
-        ideal_arithmetic(lat, "quotient", i4, i3)
+    assert lat6.intersection_id(i2, i3) == lat6.zero_id
 
 
 def test_radical_examples():
     lat8 = _lattice("Zn(8)")
-    assert lat8.render(radical(lat8, _id(lat8, [0, 4]))) == "(2)"
+    assert lat8.render(lat8.radical_id(_id(lat8, [0, 4]))) == "(2)"
     lat12 = _lattice("Zn(12)")
     i6 = _id(lat12, [0, 6])
-    assert radical(lat12, i6) == i6
-    assert radical(lat12, lat12.unit_id) == lat12.unit_id
+    assert lat12.radical_id(i6) == i6
+    assert lat12.radical_id(lat12.unit_id) == lat12.unit_id
+
+
+def _flags(lattice, i):
+    return lattice.prime[i], lattice.maximal[i], lattice.primary[i]
 
 
 def test_classify_examples():
     lat8 = _lattice("Zn(8)")
-    assert classify_ideal(lat8, lat8.zero_id) == (False, False, True)
+    assert _flags(lat8, lat8.zero_id) == (False, False, True)
     lat6 = _lattice("Zn(6)")
-    assert classify_ideal(lat6, lat6.zero_id) == (False, False, False)
+    assert _flags(lat6, lat6.zero_id) == (False, False, False)
     lat12 = _lattice("Zn(12)")
     i2 = _id(lat12, [0, 2, 4, 6, 8, 10])
-    assert classify_ideal(lat12, i2) == (True, True, True)
-    assert classify_ideal(lat12, lat12.unit_id) == (False, False, False)
+    assert _flags(lat12, i2) == (True, True, True)
+    assert _flags(lat12, lat12.unit_id) == (False, False, False)
 
 
 def test_nilradical_examples():
     lat8 = _lattice("Zn(8)")
-    assert sorted(lat8.ideals[nilradical(lat8)].members()) == [0, 2, 4, 6]
+    assert sorted(lat8.ideals[lat8.nilradical_id()].members()) == [0, 2, 4, 6]
     lat6 = _lattice("Zn(6)")
-    assert nilradical(lat6) == lat6.zero_id
+    assert lat6.nilradical_id() == lat6.zero_id
     latk = _lattice("Quot(GF(2), x^3)")
-    assert latk.render(nilradical(latk)) == "(x)"
+    assert latk.render(latk.nilradical_id()) == "(x)"
 
 
 def test_nilpotent_iff_in_nilradical():
     for text in ("Zn(12)", "Zn(8)", "Quot(Zn(4), x^2+x+1)", "Prod(GF(2), GF(2))"):
         ring = _ring(text)
         lat = enumerate_ideals(ring)
-        nil = lat.ideals[nilradical(lat)]
+        nil = lat.ideals[lat.nilradical_id()]
         for r in range(ring.size):
             assert unit_and_nilpotent_flags(ring, r)[1] == nil.contains(r)
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from primspec.classify import analyze_ring
+from primspec.ideals import iter_bits, mask_of
 from primspec.topology import (
     CoverageError,
     FiniteTopology,
@@ -19,21 +20,28 @@ from primspec.topology import (
     is_spectral,
     is_supercompact,
     separation_axioms,
+    uncovered_open,
 )
 
-SIERPINSKI = FiniteTopology(2, [frozenset(), frozenset({0}), frozenset({0, 1})])
-DISCRETE2 = FiniteTopology(
-    2, [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
-)
-INDISCRETE3 = FiniteTopology(3, [frozenset(), frozenset({0, 1, 2})])
-POINT = FiniteTopology(1, [frozenset(), frozenset({0})])
+# point sets are bit-masks: 0b01 is {0}, 0b10 is {1}
+SIERPINSKI = FiniteTopology(2, [0, 0b01, 0b11])
+DISCRETE2 = FiniteTopology(2, [0, 0b01, 0b10, 0b11])
+INDISCRETE3 = FiniteTopology(3, [0, 0b111])
+POINT = FiniteTopology(1, [0, 0b1])
+
+
+def _union(sets):
+    out = 0
+    for s in sets:
+        out |= s
+    return out
 
 
 def _random_topology(rng, n_points, n_seeds):
-    sets = {frozenset(), frozenset(range(n_points))}
+    sets = {0, (1 << n_points) - 1}
     for _ in range(n_seeds):
         size = rng.randint(0, n_points)
-        sets.add(frozenset(rng.sample(range(n_points), size)))
+        sets.add(mask_of(rng.sample(range(n_points), size)))
     changed = True
     while changed:
         changed = False
@@ -57,19 +65,18 @@ def _supercompact_by_cover_enumeration(t):
     assert len(opens) <= 12
     for size in range(len(opens) + 1):
         for combo in itertools.combinations(opens, size):
-            union = frozenset().union(*combo) if combo else frozenset()
-            if union == t.full and t.full not in combo:
+            if _union(combo) == t.full and t.full not in combo:
                 return False
     return True
 
 
 def test_axiom_validation():
     with pytest.raises(TopologyAxiomError):
-        FiniteTopology(2, [frozenset({0, 1})])
+        FiniteTopology(2, [0b11])
     with pytest.raises(TopologyAxiomError):
-        FiniteTopology(2, [frozenset(), frozenset({0}), frozenset({1})])
+        FiniteTopology(2, [0, 0b01, 0b10])
     with pytest.raises(TopologyAxiomError):
-        FiniteTopology(1, [frozenset(), frozenset({0}), frozenset({3})])
+        FiniteTopology(1, [0, 0b1, 1 << 3])
 
 
 def test_separation_examples():
@@ -87,9 +94,9 @@ def test_irreducible_examples():
     assert is_irreducible(INDISCRETE3) == (True, None)
     verdict, witness = is_irreducible(DISCRETE2)
     assert verdict is False
-    assert witness is not None and witness[0] | witness[1] == frozenset({0, 1})
-    assert is_irreducible(DISCRETE2, set()) == (False, None)
-    assert is_irreducible(DISCRETE2, {0})[0] is True
+    assert witness is not None and witness[0] | witness[1] == 0b11
+    assert is_irreducible(DISCRETE2, 0) == (False, None)
+    assert is_irreducible(DISCRETE2, 0b01)[0] is True
 
 
 def test_irreducible_characterizations_agree():
@@ -103,19 +110,13 @@ def test_irreducible_characterizations_agree():
 
 def test_generic_points_examples():
     got = irreducible_closed_with_generic_points(INDISCRETE3)
-    assert got == [(frozenset({0, 1, 2}), frozenset({0, 1, 2}))]
+    assert got == [(0b111, 0b111)]
     assert not is_sober(INDISCRETE3)
     got = irreducible_closed_with_generic_points(DISCRETE2)
-    assert got == [
-        (frozenset({0}), frozenset({0})),
-        (frozenset({1}), frozenset({1})),
-    ]
+    assert got == [(0b01, 0b01), (0b10, 0b10)]
     assert is_sober(DISCRETE2)
     got = irreducible_closed_with_generic_points(SIERPINSKI)
-    assert got == [
-        (frozenset({0}), frozenset({0})),
-        (frozenset({0, 1}), frozenset({1})),
-    ]
+    assert got == [(0b01, 0b01), (0b11, 0b10)]
     assert is_sober(SIERPINSKI)
 
 
@@ -125,13 +126,23 @@ def test_sober_and_spectral():
     assert is_spectral(DISCRETE2)
 
 
+def test_base_check_failure_names_the_missed_open(monkeypatch):
+    # {empty set} generates only the empty open; {1} is the first open it misses
+    assert uncovered_open(SIERPINSKI, [0]) == 0b10
+    assert uncovered_open(SIERPINSKI, SIERPINSKI.opens) is None
+    assert is_spectral(SIERPINSKI) and not is_spectral(SIERPINSKI, [0])
+    prim = analyze_ring("Zn(6)").prim
+    monkeypatch.setattr(prim, "basic_open_family", lambda: [0])
+    assert prim.is_base() == (False, 0b01)
+
+
 def test_quasi_compact_greedy():
     full = DISCRETE2.full
-    cover = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    cover = [0b01, 0b10, 0b11]
     assert is_quasi_compact(DISCRETE2, full, cover) == [2]
-    assert is_quasi_compact(DISCRETE2, frozenset({0}), cover[:2]) == [0]
+    assert is_quasi_compact(DISCRETE2, 0b01, cover[:2]) == [0]
     with pytest.raises(CoverageError):
-        is_quasi_compact(DISCRETE2, full, [frozenset({0})])
+        is_quasi_compact(DISCRETE2, full, [0b01])
 
 
 def test_supercompact_examples():
@@ -139,7 +150,7 @@ def test_supercompact_examples():
     assert verdict is True
     verdict, witness = is_supercompact(DISCRETE2)
     assert verdict is False
-    assert sorted(map(sorted, witness)) == [[0], [1]]
+    assert sorted(list(iter_bits(u)) for u in witness) == [[0], [1]]
     assert is_supercompact(POINT)[0] is True
 
 
@@ -166,7 +177,7 @@ SPEC_TOPOLOGIES = ["Zn(8)", "Zn(6)", "Zn(12)", "Zn(30)", "Quot(Zn(4), x^2+x+1)"]
 @pytest.mark.parametrize("text", SPEC_TOPOLOGIES)
 def test_spectrum_topologies(text):
     prim = analyze_ring(text).prim
-    topo = prim.topology()
+    topo = prim.topology
     sep = separation_axioms(topo)
     if sep.t2:
         assert sep.t1
@@ -181,12 +192,12 @@ def test_spectrum_topologies(text):
 
 def test_prim_z8_topology_profile():
     prim = analyze_ring("Zn(8)").prim
-    topo = prim.topology()
+    topo = prim.topology
     sep = separation_axioms(topo)
     assert (sep.t0, sep.t1, sep.t2) == (False, False, False)
     assert is_irreducible(topo)[0]
     entries = irreducible_closed_with_generic_points(topo)
-    assert len(entries) == 1 and len(entries[0][1]) == 3
+    assert len(entries) == 1 and entries[0][1].bit_count() == 3
     assert not is_sober(topo)
     assert not is_spectral(topo, prim.basic_open_family())
     assert is_supercompact(topo)[0]
@@ -194,7 +205,7 @@ def test_prim_z8_topology_profile():
 
 def test_prim_z6_topology_profile():
     prim = analyze_ring("Zn(6)").prim
-    topo = prim.topology()
+    topo = prim.topology
     sep = separation_axioms(topo)
     assert (sep.t0, sep.t1, sep.t2) == (True, True, True)
     verdict, witness = is_irreducible(topo)
@@ -207,11 +218,11 @@ def test_prim_z6_topology_profile():
 
 def test_quasi_compact_basic_open_subcovers():
     prim = analyze_ring("Zn(12)").prim
-    topo = prim.topology()
+    topo = prim.topology
     x2 = prim.basic_open(2)
     cover = [prim.basic_open(r) for r in range(12)]
     chosen = is_quasi_compact(topo, x2, cover)
-    covered = frozenset().union(*(cover[i] for i in chosen))
-    assert x2 <= covered
+    covered = _union(cover[i] for i in chosen)
+    assert x2 & ~covered == 0
     chosen = is_quasi_compact(topo, prim.all_points(), cover)
     assert len(chosen) <= 2
