@@ -54,12 +54,12 @@ class RingClassification:
     w_ring_witness: str | None = None
 
 
-def classify_ring(lattice: IdealLattice, max_prim_for_w: int = 16) -> RingClassification:
+def classify_ring(lattice: IdealLattice) -> RingClassification:
     """Field/local/zero-dimensional/P-ring/W-ring flags plus ideal id lists."""
     primes = [i for i in range(len(lattice)) if lattice.prime[i]]
     maximals = [i for i in range(len(lattice)) if lattice.maximal[i]]
     primaries = [i for i in range(len(lattice)) if lattice.primary[i]]
-    w, w_witness = is_w_ring(lattice, max_prim_for_w)
+    w, w_witness = is_w_ring(lattice)
     return RingClassification(
         is_field=len(lattice) == 2,
         is_local=len(maximals) == 1,
@@ -167,20 +167,38 @@ class AConditionsResult:
     witness: str | None
 
 
+def _first_failing_fold(start, members, step, holds):
+    """Members of a smallest subfamily whose folded state breaks ``holds``,
+    or None.  Walks breadth-first over the states reached from ``start`` by
+    folding in one member at a time; ``step`` must be idempotent and
+    order-free, so every subfamily's state is reached, each state once."""
+    paths = {start: ()}
+    frontier = [start]
+    while frontier:
+        reached = []
+        for state in frontier:
+            if not holds(state):
+                return paths[state]
+            for m in members:
+                new = step(state, m)
+                if new not in paths:
+                    paths[new] = paths[state] + (m,)
+                    reached.append(new)
+        frontier = reached
+    return None
+
+
 def a_conditions(
     lattice: IdealLattice,
     family: list[int],
     mode: str = "A2_original",
-    subset_cap: int = 4,
-    samples: int = 200,
-    seed: int = 0,
 ) -> AConditionsResult:
     """A1 (family intersects to zero) and A2 in either formulation.
 
     ``A2_original``: every element admits one exponent n with a^n in I for
     every family member I whose radical contains a.  ``A2_radical_form``:
-    radicals commute with intersections over subfamilies, exhaustively up
-    to ``subset_cap`` members plus seeded random larger subfamilies.
+    the radical of the intersection is the intersection of the radicals on
+    every subfamily, folded exhaustively; a failure names a smallest one.
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -214,56 +232,36 @@ def a_conditions(
                         )
         return AConditionsResult(a1, True, None)
     if mode == "A2_radical_form":
-        rng = random.Random(seed)
-        subfamilies: list[tuple[int, ...]] = []
-        for size in range(1, min(subset_cap, len(family)) + 1):
-            subfamilies.extend(itertools.combinations(family, size))
-        if len(family) > subset_cap:
-            for _ in range(samples):
-                size = rng.randint(subset_cap + 1, len(family))
-                subfamilies.append(tuple(sorted(rng.sample(family, size))))
-        for gamma in subfamilies:
-            meet_g = full
-            rad_meet = full
-            for i in gamma:
-                meet_g &= lattice.mask(i)
-                rad_meet &= lattice.mask(lattice.radical_ids[i])
-            rad_of_meet = lattice.mask(lattice.radical_ids[lattice.id_of(meet_g)])
-            if rad_of_meet != rad_meet:
-                shown = "{" + ", ".join(lattice.render(i) for i in gamma) + "}"
-                return AConditionsResult(
-                    a1, False, f"radical/intersection mismatch on {shown}"
-                )
-        return AConditionsResult(a1, True, None)
+        rad = [lattice.mask(r) for r in lattice.radical_ids]
+        gamma = _first_failing_fold(
+            (full, full),
+            family,
+            lambda s, i: (s[0] & lattice.mask(i), s[1] & rad[i]),
+            lambda s: rad[lattice.id_of(s[0])] == s[1],
+        )
+        if gamma is None:
+            return AConditionsResult(a1, True, None)
+        shown = ", ".join(lattice.render(i) for i in sorted(gamma, key=family.index))
+        return AConditionsResult(a1, False, f"radical/intersection mismatch on {{{shown}}}")
     raise ValueError(f"unknown A2 mode {mode!r}")
 
 
-def closure_identity_check(
-    spectrum: Spectrum,
-    exhaustive_limit: int = 10,
-    samples: int = 1000,
-    seed: int = 0,
-) -> tuple[bool, str | None]:
-    """closure(Y) == variety(xi(Y)) over point subsets.
-
-    Exhaustive over all subsets up to ``exhaustive_limit`` points, otherwise
-    the empty/full sets plus ``samples`` seeded random subsets.  The closure
-    side comes from the closed family alone, so the two sides are computed
-    independently.
+def closure_identity_check(spectrum: Spectrum) -> tuple[bool, str | None]:
+    """closure(Y) == variety(xi(Y)) for every set Y of points, folded over
+    the (closure, xi mask) pairs, at most |closed sets| * |ideals| of them.
+    The closure side comes from the closed family alone (closure(Y + p) =
+    closure(closure(Y) + p)), the other from the lattice, so the two are
+    computed independently.  A failure names a smallest failing Y.
     """
-    n_pts = len(spectrum.points)
-    if n_pts <= exhaustive_limit:
-        candidates = range(1 << n_pts)
-    else:
-        rng = random.Random(seed)
-        candidates = [0, spectrum.all_points()]
-        for _ in range(samples):
-            size = rng.randint(0, n_pts)
-            candidates.append(mask_of(rng.sample(range(n_pts), size)))
-    for y in candidates:
-        if spectrum.closure(y) != spectrum.variety(spectrum.xi(y)):
-            return False, spectrum.render_point_set(y)
-    return True, None
+    lattice = spectrum.lattice
+    masks = [lattice.mask(i) for i in spectrum.points]
+    y = _first_failing_fold(
+        (0, (1 << lattice.ring.size) - 1),
+        range(len(masks)),
+        lambda s, pos: (spectrum.closure(s[0] | 1 << pos), s[1] & masks[pos]),
+        lambda s: s[0] == spectrum.variety(lattice.id_of(s[1])),
+    )
+    return (True, None) if y is None else (False, spectrum.render_point_set(mask_of(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +434,6 @@ def _iff(report, entry_id, lhs, rhs, witness=None, applicable=True):
 def verify_theorems(
     target: RingAnalysis | RingSpecExpr | str,
     seed: int = 0,
-    closure_samples: int = 1000,
     max_elements: int = DEFAULT_ELEMENT_CAP,
     max_ideals: int = DEFAULT_IDEAL_CAP,
 ) -> TheoremReport:
@@ -601,14 +598,14 @@ def verify_theorems(
         sampled_families.append(sorted(rng.sample(all_ids, size)))
     holds, witness = True, None
     for fam in sampled_families:
-        orig = a_conditions(lattice, fam, "A2_original", seed=seed).a2
-        radf = a_conditions(lattice, fam, "A2_radical_form", seed=seed).a2
+        orig = a_conditions(lattice, fam, "A2_original").a2
+        radf = a_conditions(lattice, fam, "A2_radical_form").a2
         if orig != radf:
             holds, witness = False, f"family of {len(fam)} ideals disagrees"
     _law(report, "uniform-exponent-mode-agreement", holds, witness)
 
     a2_values = [
-        a_conditions(lattice, fam, mode, seed=seed).a2
+        a_conditions(lattice, fam, mode).a2
         for fam in (all_ids, primary_ids or all_ids)
         for mode in ("A2_original", "A2_radical_form")
     ]
@@ -620,7 +617,7 @@ def verify_theorems(
     )
 
     # closures --------------------------------------------------------------
-    holds, witness = closure_identity_check(prim, samples=closure_samples, seed=seed)
+    holds, witness = closure_identity_check(prim)
     _iff(
         report,
         "closure-via-ideal-intersection",

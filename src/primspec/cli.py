@@ -64,21 +64,29 @@ CHECK_PROPERTIES = (
 )
 
 
-def _globals_parser() -> argparse.ArgumentParser:
+def _globals_parser(on_subcommand: bool = False) -> argparse.ArgumentParser:
+    """The global flags.  Their copy on each subcommand has SUPPRESS
+    defaults, so it sets only a flag given after the subcommand and never
+    overwrites one given before it."""
+
+    def default(value):
+        return argparse.SUPPRESS if on_subcommand else value
+
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--out", metavar="PATH", help="write output to a file")
-    p.add_argument("--max-elements", type=int, default=DEFAULT_ELEMENT_CAP)
-    p.add_argument("--max-ideals", type=int, default=DEFAULT_IDEAL_CAP)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample", type=int, default=1000, help="sample count for non-exhaustive checks")
-    p.add_argument("--corpus", metavar="PATH", help="corpus file (verify-paper)")
+    p.add_argument("--json", action="store_true", default=default(False), help="emit JSON")
+    p.add_argument("--out", metavar="PATH", default=default(None), help="write output to a file")
+    p.add_argument("--max-elements", type=int, default=default(DEFAULT_ELEMENT_CAP))
+    p.add_argument("--max-ideals", type=int, default=default(DEFAULT_IDEAL_CAP))
+    p.add_argument("--seed", type=int, default=default(0))
+    p.add_argument(
+        "--corpus", metavar="PATH", default=default(None), help="corpus file (verify-paper)"
+    )
     return p
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    shared = _globals_parser()
-    parser = argparse.ArgumentParser(prog="primspec", parents=[shared])
+    parser = argparse.ArgumentParser(prog="primspec", parents=[_globals_parser()])
+    shared = _globals_parser(on_subcommand=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", parents=[shared], help="ring summary")
@@ -282,8 +290,8 @@ def cmd_check(args) -> int:
         detail = wit
     else:  # a2
         ids = list(range(len(a.lattice)))
-        orig = a_conditions(a.lattice, ids, "A2_original", seed=args.seed)
-        radf = a_conditions(a.lattice, ids, "A2_radical_form", seed=args.seed)
+        orig = a_conditions(a.lattice, ids, "A2_original")
+        radf = a_conditions(a.lattice, ids, "A2_radical_form")
         value = orig.a2 and radf.a2
         detail = orig.witness or radf.witness
     label = prop.upper() if prop.startswith("t") and len(prop) == 2 else prop
@@ -305,7 +313,6 @@ def _suite_for_entry(entry, args):
     report = verify_theorems(
         entry.spec_text,
         seed=args.seed,
-        closure_samples=args.sample,
         max_elements=entry.max_elements or args.max_elements,
         max_ideals=entry.max_ideals or args.max_ideals,
     )
@@ -370,7 +377,7 @@ def cmd_export(args) -> int:
     if args.graph == "specialization":
         _emit(args, dot_specialization(a.prim))
         return 0
-    report = verify_theorems(a, seed=args.seed, closure_samples=args.sample)
+    report = verify_theorems(a, seed=args.seed)
     payload = build_report(
         a,
         report,

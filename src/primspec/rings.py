@@ -200,18 +200,28 @@ class _Parser:
             self.error("expected integer")
         return self.text[start : self.pos]
 
-    def parse_uint(self) -> int:
-        return int(self._digits())
-
-    def parse_size_bound(self) -> int:
-        """An integer the ring size is at least; a literal with more digits
-        than the cap is rejected before it is converted."""
+    def parse_size_bound(self, exponent: bool = False) -> int:
+        """An integer the ring size is at least (with ``exponent``, a k with
+        2^k at most the size); a literal with more digits than the cap is
+        rejected before it is converted."""
         digits = self._digits().lstrip("0") or "0"
         if len(digits) > len(str(self.cap)):
+            bound = f"10^{len(digits) - 1}"
             raise CapExceededError(
-                f"ring of size at least 10^{len(digits) - 1} exceeds element cap {self.cap}"
+                f"ring of size at least {f'2^({bound})' if exponent else bound} "
+                f"exceeds element cap {self.cap}"
             )
         return int(digits)
+
+    def parse_coefficient(self, char: int) -> int:
+        """A coefficient literal of any length, reduced exactly mod ``char``
+        without converting the whole literal."""
+        digits = self._digits()
+        value = 0
+        for start in range(0, len(digits), 18):
+            chunk = digits[start : start + 18]
+            value = (value * 10 ** len(chunk) + int(chunk)) % char
+        return value
 
     def parse_name(self) -> str:
         self.skip_ws()
@@ -237,12 +247,14 @@ class _Parser:
             first = self.parse_size_bound()
             if self.peek() == "^":
                 self.pos += 1
-                k = self.parse_uint()
+                if first < 2:  # the exponent bound below needs first >= 2
+                    self.error(f"{first} is not prime")
+                k = self.parse_size_bound(exponent=True)
                 self.expect(")")
                 if k < 1:
                     self.error("GF exponent must be at least 1")
-                if first >= 2:  # cap first, so the trial division stays cheap
-                    self._check_power_cap(first, k)
+                # cap first, so the trial division stays cheap
+                self._check_power_cap(first, k)
                 if not is_prime(first):
                     self.error(f"{first} is not prime")
                 p = first
@@ -284,7 +296,7 @@ class _Parser:
             self.pos += 1
             sign = -1
         while True:
-            coef, exp = self.parse_term()
+            coef, exp = self.parse_term(char)
             coeffs[exp] = coeffs.get(exp, 0) + sign * coef
             nxt = self.peek()
             if nxt == "+":
@@ -302,10 +314,13 @@ class _Parser:
             self.error("modulus must be monic")
         return reduced
 
-    def parse_term(self) -> tuple[int, int]:
+    def parse_term(self, char: int) -> tuple[int, int]:
+        """One term as (coefficient mod char, exponent).  An exponent literal
+        longer than the cap is rejected as over cap, even in a term that
+        would cancel."""
         ch = self.peek()
         if ch.isdigit():
-            coef = self.parse_uint()
+            coef = self.parse_coefficient(char)
             if self.peek() == "*":
                 self.pos += 1
                 if self.peek() != "x":
@@ -319,7 +334,7 @@ class _Parser:
         self.pos += 1
         if self.peek() == "^":
             self.pos += 1
-            return coef, self.parse_uint()
+            return coef, self.parse_size_bound(exponent=True)
         return coef, 1
 
     def expect_end(self):

@@ -1,6 +1,8 @@
 """Ring classification, W-rings, the covering condition, uniform exponents,
 and the verification suite."""
 
+import copy
+import itertools
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from primspec.classify import (
     verify_theorems,
 )
 from primspec.ideals import mask_of
+from primspec.spectra import Spectrum
 
 
 def test_classify_examples():
@@ -135,8 +138,86 @@ def test_a2_modes_agree_on_random_families():
 
 def test_closure_identity_sampled_branch():
     a = analyze_ring("Zn(12)")
-    ok, witness = closure_identity_check(a.prim, exhaustive_limit=1, samples=60, seed=5)
+    ok, witness = closure_identity_check(a.prim)
     assert ok, witness
+
+
+# Slow oracles: the subset enumerations the exhaustive folds replaced.
+
+
+def _smallest_a2_failures(lattice, family):
+    """Every smallest subfamily whose radical of the intersection differs
+    from the intersection of the radicals, in family order; [] if none."""
+    full = (1 << lattice.ring.size) - 1
+    for size in range(1, len(family) + 1):
+        found = []
+        for gamma in itertools.combinations(family, size):
+            meet = rads = full
+            for i in gamma:
+                meet &= lattice.mask(i)
+                rads &= lattice.mask(lattice.radical_ids[i])
+            if lattice.mask(lattice.radical_ids[lattice.id_of(meet)]) != rads:
+                found.append(gamma)
+        if found:
+            return found
+    return []
+
+
+def _smallest_closure_failures(spectrum):
+    """Every smallest point set Y with closure(Y) != variety(xi(Y)); [] if none."""
+    failing = [
+        y
+        for y in range(1 << len(spectrum.points))
+        if spectrum.closure(y) != spectrum.variety(spectrum.xi(y))
+    ]
+    smallest = min((y.bit_count() for y in failing), default=None)
+    return [y for y in failing if y.bit_count() == smallest]
+
+
+def test_a2_fold_agrees_with_subfamily_oracle(corpus_analyses):
+    for text, a in corpus_analyses.items():
+        lat = a.lattice
+        assert len(lat) <= 12, text
+        for fam in (list(range(len(lat))), a.classification.primary_ideals):
+            if fam:
+                res = a_conditions(lat, fam, "A2_radical_form")
+                assert res.a2 == (_smallest_a2_failures(lat, fam) == []), text
+
+
+def test_closure_fold_agrees_with_subset_oracle(corpus_analyses):
+    for text, a in corpus_analyses.items():
+        assert len(a.prim.points) <= 10, text
+        ok, _ = closure_identity_check(a.prim)
+        assert ok == (_smallest_closure_failures(a.prim) == []), text
+
+
+def test_a2_fold_names_a_smallest_failing_subfamily():
+    lat = copy.copy(analyze_ring("Zn(12)").lattice)
+    lat.radical_ids = list(lat.radical_ids)
+    lat.radical_ids[lat.zero_id] = lat.zero_id  # true radical of (0) is (6)
+    family = list(range(len(lat)))
+    smallest = [
+        "{" + ", ".join(lat.render(i) for i in gamma) + "}"
+        for gamma in _smallest_a2_failures(lat, family)
+    ]
+    assert "{(4), (3)}" in smallest
+    res = a_conditions(lat, family, "A2_radical_form")
+    assert not res.a2
+    assert res.witness.removeprefix("radical/intersection mismatch on ") in smallest
+
+
+def test_closure_fold_names_a_smallest_failing_set(monkeypatch):
+    a = analyze_ring("Zn(12)")
+    true_variety = Spectrum.variety
+
+    def variety(self, ideal_id):
+        return 0 if ideal_id == self.lattice.zero_id else true_variety(self, ideal_id)
+
+    monkeypatch.setattr(Spectrum, "variety", variety)
+    smallest = [a.prim.render_point_set(y) for y in _smallest_closure_failures(a.prim)]
+    assert smallest == ["{(4), (3)}"]
+    ok, witness = closure_identity_check(a.prim)
+    assert not ok and witness in smallest
 
 
 def test_verify_theorems_z8():

@@ -93,14 +93,82 @@ def test_cap_error_exit_3(capsys):
         "GF(2^100000)",  # size past the int-to-str digit limit
         "Zn(1" + "0" * 5000 + ")",  # literal past the str-to-int digit limit
         "Quot(Zn(2), x^3000000+1)",  # 3 M coefficients if built
+        "GF(2^1" + "0" * 5000 + ")",  # exponent past the str-to-int digit limit
+        "Quot(Zn(2), x^1" + "0" * 5000 + "+1)",
     ],
-    ids=["gf-big-prime", "gf-big-prime-squared", "gf-2-pow-100000", "zn-5001-digits", "quot-degree-3M"],
+    ids=[
+        "gf-big-prime",
+        "gf-big-prime-squared",
+        "gf-2-pow-100000",
+        "zn-5001-digits",
+        "quot-degree-3M",
+        "gf-exponent-5001-digits",
+        "quot-exponent-5001-digits",
+    ],
 )
 def test_oversized_spec_rejected_fast_exit_3(capsys, spec):
     started = time.perf_counter()
     code, _, err = run(capsys, "info", spec)
     assert time.perf_counter() - started < 2.0
     assert code == 3 and "exceeds element cap" in err
+
+
+@pytest.mark.parametrize(
+    "coefficient, char, canonical",
+    [
+        ("1" + "0" * 5000, 2, "Quot(Zn(2), x^2+1)"),  # 10^5000 = 0 mod 2
+        ("1" + "0" * 5000, 3, "Quot(Zn(3), x^2+x+1)"),  # 10^5000 = 1 mod 3
+        ("7" * 6000, 5, "Quot(Zn(5), x^2+2x+1)"),
+    ],
+    ids=["mod-2", "mod-3", "mod-5"],
+)
+def test_long_coefficient_reduced_exactly(capsys, coefficient, char, canonical):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "info", f"Quot(Zn({char}), x^2+{coefficient}*x+1)")
+    assert time.perf_counter() - started < 2.0
+    assert code == 0, err
+    assert out.startswith(f"spec: {canonical}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, is_json",
+    [
+        (["--json", "info", "Zn(6)"], 0, True),
+        (["info", "Zn(6)", "--json"], 0, True),
+        (["info", "Zn(6)"], 0, False),
+        (["--json", "z", "v", "12"], 0, True),
+        (["z", "v", "12"], 0, False),
+        (["--max-elements", "4", "info", "Zn(6)"], 3, False),
+        (["info", "Zn(6)", "--max-elements", "4"], 3, False),
+        # given on both sides, the value after the subcommand wins
+        (["--max-elements", "4", "info", "Zn(6)", "--max-elements", "8"], 0, False),
+        (["--max-elements", "8", "info", "Zn(6)", "--max-elements", "4"], 3, False),
+    ],
+    ids=[
+        "json-before",
+        "json-after",
+        "text",
+        "json-before-z",
+        "text-z",
+        "cap-before",
+        "cap-after",
+        "cap-both-later-loose",
+        "cap-both-later-tight",
+    ],
+)
+def test_global_flags_before_or_after_subcommand(capsys, argv, code, is_json):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert _is_json(out) == is_json
+
+
+def _is_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
 
 
 def test_z_vrad_rendering(capsys):
