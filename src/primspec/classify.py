@@ -465,6 +465,8 @@ def verify_theorems(
     all_pts = prim.all_points()
     varieties = [prim.variety(i) for i in range(n_ideals)]
     x = [prim.basic_open(r) for r in range(ring.size)]
+    # unit/nilpotent side of the basic-open laws, from ring.mul alone
+    flags = [unit_and_nilpotent_flags(ring, r) for r in range(ring.size)]
     names = ring.element_names
 
     # variety laws ---------------------------------------------------------
@@ -526,7 +528,7 @@ def verify_theorems(
     base_ok, base_witness = prim.is_base()
     unit_laws = x[0] == 0 and x[ring.one_index] == all_pts
     for r in range(ring.size):
-        if unit_and_nilpotent_flags(ring, r)[0] and x[r] != all_pts:
+        if flags[r][0] and x[r] != all_pts:
             unit_laws = False
     _law(
         report,
@@ -555,7 +557,7 @@ def verify_theorems(
 
     holds, witness = True, None
     for r in range(ring.size):
-        if (x[r] == 0) != unit_and_nilpotent_flags(ring, r)[1]:
+        if (x[r] == 0) != flags[r][1]:
             holds, witness = False, names[r]
     _law(report, "basic-open-empty-iff-nilpotent", holds, witness)
 

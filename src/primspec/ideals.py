@@ -1,10 +1,12 @@
 """Ideal enumeration and classification for finite commutative rings.
 
-Ideals are bit-sets over element indices.  The complete lattice is the
-fixpoint of pairwise sums of principal ideals, which reaches every ideal
-of a finite ring.  Ids are assigned canonically: sorted by cardinality,
-then by the sorted member tuple, so id 0 is always the zero ideal and the
-last id the unit ideal.
+Ideals are bit-sets over element indices.  Every ideal is built as a sum
+of principal ideals: in a ring with 1, R*g is already an ideal and I + J
+is one too, so no additive closure is ever computed.  The complete
+lattice is the fixpoint of pairwise sums of principal ideals, which
+reaches every ideal of a finite ring.  Ids are assigned canonically:
+sorted by cardinality, then by the sorted member tuple, so id 0 is always
+the zero ideal and the last id the unit ideal.
 """
 
 from __future__ import annotations
@@ -71,21 +73,8 @@ class IdealSet:
         return True
 
 
-def _additive_closure(ring: FiniteRing, mask: int) -> int:
-    add = ring.add
-    queue = deque(iter_bits(mask))
-    while queue:
-        x = queue.popleft()
-        row = add[x]
-        for y in list(iter_bits(mask)):
-            s = row[y]
-            if not (mask >> s) & 1:
-                mask |= 1 << s
-                queue.append(s)
-    return mask
-
-
 def _principal_mask(ring: FiniteRing, g: int) -> int:
+    """The principal ideal R*g, which is closed under + because R has 1."""
     mask = 0
     for r in range(ring.size):
         mask |= 1 << ring.mul[r][g]
@@ -94,10 +83,11 @@ def _principal_mask(ring: FiniteRing, g: int) -> int:
 
 def ideal_generated_by(ring: FiniteRing, gens) -> IdealSet:
     """Smallest ideal containing ``gens`` (element indices)."""
-    mask = 1  # zero element
+    mask = 1  # zero ideal
     for g in gens:
-        mask |= _principal_mask(ring, g)
-    return IdealSet(ring, _additive_closure(ring, mask))
+        if not (mask >> g) & 1:
+            mask = _sum_mask(ring, mask, _principal_mask(ring, g))
+    return IdealSet(ring, mask)
 
 
 def _sum_mask(ring: FiniteRing, a: int, b: int) -> int:
@@ -112,14 +102,19 @@ def _sum_mask(ring: FiniteRing, a: int, b: int) -> int:
 
 
 def _product_mask(ring: FiniteRing, a: int, b: int) -> int:
+    """IJ as the sum of the ideals x*J over x in I; their union is the set
+    of products."""
     mul = ring.mul
-    prods = 0
+    out = 1  # zero ideal
     bs = list(iter_bits(b))
     for x in iter_bits(a):
         row = mul[x]
+        xb = 0
         for y in bs:
-            prods |= 1 << row[y]
-    return _additive_closure(ring, prods)
+            xb |= 1 << row[y]
+        if xb | out != out:
+            out = _sum_mask(ring, out, xb)
+    return out
 
 
 def _radical_mask(ring: FiniteRing, mask: int) -> int:
@@ -231,16 +226,14 @@ class IdealLattice:
         if ideal_id == self.zero_id:
             return [0]
         for g in iter_bits(mask):
-            if g and _additive_closure(self.ring, 1 | _principal_mask(self.ring, g)) == mask:
+            if g and _principal_mask(self.ring, g) == mask:
                 return [g]
         gens: list[int] = []
         current = 1
         for g in iter_bits(mask):
             if not (current >> g) & 1:
                 gens.append(g)
-                current = _additive_closure(
-                    self.ring, current | _principal_mask(self.ring, g)
-                )
+                current = _sum_mask(self.ring, current, _principal_mask(self.ring, g))
         for g in list(gens):
             rest = [h for h in gens if h != g]
             if ideal_generated_by(self.ring, rest).mask == mask:
@@ -270,7 +263,7 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = DEFAULT_IDEAL_CAP) -> I
         return True
 
     for g in range(ring.size):
-        register(_additive_closure(ring, 1 | _principal_mask(ring, g)))
+        register(_principal_mask(ring, g))
     queue = deque(masks)
     while queue:
         m = queue.popleft()

@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .zsymbolic import is_probable_prime
+
 DEFAULT_ELEMENT_CAP = 1024
 
 
@@ -44,35 +46,31 @@ def _over_cap(size: int, cap: int) -> CapExceededError:
     return CapExceededError(f"ring of size {shown} exceeds element cap {cap}")
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r**k <= n, for n >= 1 and k >= 1 (Newton from above)."""
+    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, k) with q == p**k and p prime, or None."""
+    """Return (p, k) with q == p**k and p prime, or None.
+
+    Takes the largest k for which q is a perfect k-th power; q is a prime
+    power exactly when that root is prime.  The root is tested with
+    ``is_probable_prime`` (exact below 3.3e24), not by trial division, so
+    this stays cheap however large q is.
+    """
     if q < 2:
         return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k, m = 0, q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-        p += 1
-    return (q, 1)
+    for k in range(q.bit_length(), 0, -1):
+        r = _iroot(q, k)
+        if r >= 2 and r**k == q:
+            return (r, k) if is_probable_prime(r) else None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +251,8 @@ class _Parser:
                 self.expect(")")
                 if k < 1:
                     self.error("GF exponent must be at least 1")
-                # cap first, so the trial division stays cheap
                 self._check_power_cap(first, k)
-                if not is_prime(first):
+                if not is_probable_prime(first):
                     self.error(f"{first} is not prime")
                 p = first
             else:

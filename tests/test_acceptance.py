@@ -5,6 +5,7 @@ verdict lines inline).
 """
 
 import itertools
+import json
 import time
 from math import gcd
 
@@ -14,6 +15,7 @@ from primspec.classify import (
     closure_identity_check,
     star_condition,
 )
+from primspec.cli import main
 from primspec.ideals import ideal_generated_by, mask_of
 from primspec.rings import build_ring, parse_ring_spec
 from primspec.topology import is_supercompact
@@ -284,3 +286,18 @@ def test_criterion_11_oracle_equivalences(corpus_analyses):
         11,
         f"supercompact oracle x{checked}, product/Zn(6) isomorphism, exact certificates",
     )
+
+
+def test_criterion_12_export_at_scale(capsys):
+    # 256-element rings under the default cap: a chain ring with 9 ideals
+    # and a field built as a quotient; both exports together within 5 s
+    with _timed(5.0):
+        reports = {}
+        for text in ("Zn(256)", "GF(2^8)"):
+            assert main(["export", text]) == 0
+            reports[text] = json.loads(capsys.readouterr().out)
+    assert [len(r["ideals"]) for r in reports.values()] == [9, 2]
+    for report in reports.values():
+        assert report["elements"] == 256
+        assert all(entry["pass"] for entry in report["theorems"])
+    _verdict(12, "Zn(256) and GF(2^8) exported within 5 s, every law passing")

@@ -1,10 +1,13 @@
 """Ideal lattice: generation, enumeration, radicals, classification."""
 
 import itertools
+import random
+from collections import deque
 
 import pytest
 
-from primspec.ideals import enumerate_ideals, ideal_generated_by, mask_of
+from primspec.corpus import DEFAULT_CORPUS
+from primspec.ideals import enumerate_ideals, ideal_generated_by, iter_bits, mask_of
 from primspec.rings import CapExceededError, build_ring, parse_ring_spec, unit_and_nilpotent_flags
 
 
@@ -148,3 +151,91 @@ def test_radical_laws_exhaustive(text):
     for i in range(len(lat)):
         assert rad[rad[i]] == rad[i]
         assert lat.contains_ideal(i, rad[i])
+
+
+# -- differential tests against the definitional additive closure ----------
+
+
+def _additive_closure(ring, mask):
+    """Slow oracle: add sums of members breadth-first until none is new."""
+    add = ring.add
+    queue = deque(iter_bits(mask))
+    while queue:
+        x = queue.popleft()
+        row = add[x]
+        for y in list(iter_bits(mask)):
+            s = row[y]
+            if not (mask >> s) & 1:
+                mask |= 1 << s
+                queue.append(s)
+    return mask
+
+
+def _closure_of_products(ring, xs, ys):
+    """Additive closure of {0} and every product x*y."""
+    prods = 1
+    for x in xs:
+        for y in ys:
+            prods |= 1 << ring.mul[x][y]
+    return _additive_closure(ring, prods)
+
+
+def _closure_fixpoint(ring):
+    """Every ideal as the closure of the union of two known ideals, starting
+    from the closures of the principal ideals."""
+    everything = range(ring.size)
+    masks = {_closure_of_products(ring, everything, [g]) for g in everything}
+    queue = deque(masks)
+    while queue:
+        m = queue.popleft()
+        for other in list(masks):
+            joined = _additive_closure(ring, m | other)
+            if joined not in masks:
+                masks.add(joined)
+                queue.append(joined)
+    return masks
+
+
+# every default-corpus ring, plus a Quot with non-principal ideals (every
+# corpus ring is a principal ideal ring), a GF(p^k) beyond the corpus and a
+# nested Prod
+DIFFERENTIAL_RINGS = list(DEFAULT_CORPUS) + [
+    "Quot(Zn(4), x^3)",
+    "GF(2^4)",
+    "Prod(GF(2), Prod(Zn(4), GF(3)))",
+]
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_RINGS)
+def test_sums_of_principal_ideals_agree_with_closure_oracle(text):
+    ring = _ring(text)
+    lat = enumerate_ideals(ring)
+    assert {ideal.mask for ideal in lat.ideals} == _closure_fixpoint(ring)
+
+    everything = range(ring.size)
+    rng = random.Random(text)
+    gen_sets = [[]] + [[g] for g in everything]
+    gen_sets += [rng.sample(everything, rng.randint(2, min(4, ring.size))) for _ in range(20)]
+    for gens in gen_sets:
+        assert ideal_generated_by(ring, gens).mask == _closure_of_products(
+            ring, everything, gens
+        ), gens
+
+    for i, j in itertools.product(range(len(lat)), repeat=2):
+        expected = _closure_of_products(ring, lat.ideals[i].members(), lat.ideals[j].members())
+        assert lat.mask(lat.product_id(i, j)) == expected, (lat.render(i), lat.render(j))
+
+
+def test_product_is_a_sum_of_multiples_not_their_union():
+    # in Z8[x]/(x^3), (2, x)^2 = (4, 2x, x^2) is no single x*J, and the union
+    # of the x*J over x in (2, x) is not closed under +
+    ring = _ring("Quot(Zn(8), x^3)")
+    lat = enumerate_ideals(ring)
+    index = ring.element_names.index
+    m = lat.id_of(ideal_generated_by(ring, [index("2"), index("x")]))
+    members = lat.ideals[m].members()
+    products = mask_of(ring.mul[x][y] for x in members for y in members)
+    expected = _additive_closure(ring, products)
+    assert products != expected
+    assert expected == ideal_generated_by(ring, [index("4"), index("2x"), index("x^2")]).mask
+    assert lat.mask(lat.product_id(m, m)) == expected

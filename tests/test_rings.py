@@ -1,6 +1,7 @@
 """Ring construction: parsing, tables, arithmetic, axioms."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from primspec.rings import (
     check_ring_axioms,
     element_arithmetic,
     parse_ring_spec,
+    prime_power,
     unit_and_nilpotent_flags,
 )
 
@@ -83,6 +85,43 @@ def test_parse_cap():
     with pytest.raises(CapExceededError):
         parse_ring_spec("Quot(Zn(4), x^10)", max_elements=1024)
     parse_ring_spec("Zn(2000)", max_elements=4096)
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(2000):
+        factors = [p for p in range(2, q + 1) if q % p == 0 and all(p % d for d in range(2, p))]
+        expected = None
+        if len(factors) == 1:
+            p, k = factors[0], 1
+            while p**k != q:
+                k += 1
+            expected = (p, k)
+        assert prime_power(q) == expected, q
+
+
+M61, M31 = 2**61 - 1, 2**31 - 1  # Mersenne primes
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (f"GF({M61})", GFSpec(M61, 1)),
+        (f"GF({M61}^2)", GFSpec(M61, 2)),
+        (f"GF({M61**2})", GFSpec(M61, 2)),
+        (f"GF({M31 * M61})", "not a prime power"),
+        (f"GF({M31 * M61}^2)", "not prime"),
+    ],
+    ids=["prime", "prime-squared", "prime-power-literal", "composite", "composite-squared"],
+)
+def test_parse_large_gf_decided_fast(text, expected):
+    # parse only: a ring this large must never be built
+    started = time.perf_counter()
+    if isinstance(expected, str):
+        with pytest.raises(RingSpecError, match=expected):
+            parse_ring_spec(text, max_elements=10**60)
+    else:
+        assert parse_ring_spec(text, max_elements=10**60) == expected
+    assert time.perf_counter() - started < 2.0
 
 
 @pytest.mark.parametrize("text", SAMPLE_SPECS)

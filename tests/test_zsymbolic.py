@@ -78,6 +78,14 @@ def test_miller_rabin_matches_sympy(n):
     assert is_probable_prime(n) == sympy.isprime(n)
 
 
+def test_miller_rabin_rejects_strong_pseudoprime_to_bases_through_37():
+    # the least composite that passes the strong test to every prime base
+    # up to 37; base 41 is needed to keep the test exact below 3.3e24
+    psi12 = 399165290221 * 798330580441
+    assert not is_probable_prime(psi12)
+    assert is_probable_prime(2**61 - 1) and is_probable_prime(2**89 - 1)
+
+
 def test_v_rad_z_examples():
     v = v_rad_z(12)
     assert v == ZVariety(families=frozenset({2, 3}))
