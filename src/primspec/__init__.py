@@ -19,7 +19,6 @@ from .classify import (  # noqa: F401
 )
 from .ideals import (  # noqa: F401
     IdealLattice,
-    IdealSet,
     enumerate_ideals,
     ideal_generated_by,
 )

@@ -9,7 +9,6 @@ independently.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .ideals import (
@@ -349,7 +348,7 @@ THEOREM_CLAIMS: dict[str, str] = {
     ),
     "uniform-exponent-mode-agreement": (
         "the uniform-exponent condition matches the radical-intersection "
-        "formulation on every sampled family"
+        "formulation on every family"
     ),
     "uniform-exponent-zero-dimensional": (
         "the uniform-exponent condition on the all-ideal and all-primary "
@@ -393,7 +392,6 @@ THEOREM_CLAIMS: dict[str, str] = {
 @dataclass
 class TheoremReport:
     ring_label: str
-    seed: int
     entries: list[TheoremEntry] = field(default_factory=list)
 
     @property
@@ -433,7 +431,6 @@ def _iff(report, entry_id, lhs, rhs, witness=None, applicable=True):
 
 def verify_theorems(
     target: RingAnalysis | RingSpecExpr | str,
-    seed: int = 0,
     max_elements: int = DEFAULT_ELEMENT_CAP,
     max_ideals: int = DEFAULT_IDEAL_CAP,
 ) -> TheoremReport:
@@ -448,7 +445,7 @@ def verify_theorems(
         try:
             a = analyze_ring(target, max_elements, max_ideals)
         except CapExceededError as exc:
-            report = TheoremReport(str(target), seed)
+            report = TheoremReport(str(target))
             for entry_id, claim in THEOREM_CLAIMS.items():
                 report.entries.append(
                     TheoremEntry(
@@ -458,13 +455,14 @@ def verify_theorems(
             return report
     ring, lattice, prim = a.ring, a.lattice, a.prim
     cls = a.classification
-    rng = random.Random(seed)
-    report = TheoremReport(ring.label, seed)
+    report = TheoremReport(ring.label)
     topo = prim.topology
     n_ideals = len(lattice)
     all_pts = prim.all_points()
     varieties = [prim.variety(i) for i in range(n_ideals)]
     x = [prim.basic_open(r) for r in range(ring.size)]
+    sums = [[lattice.sum_id(i, j) for j in range(n_ideals)] for i in range(n_ideals)]
+    principal = [lattice.id_of(ideal_generated_by(ring, [r])) for r in range(ring.size)]
     # unit/nilpotent side of the basic-open laws, from ring.mul alone
     flags = [unit_and_nilpotent_flags(ring, r) for r in range(ring.size)]
     names = ring.element_names
@@ -494,22 +492,24 @@ def verify_theorems(
     holds, witness = True, None
     for i in range(n_ideals):
         for j in range(n_ideals):
-            if varieties[lattice.sum_id(i, j)] != varieties[i] & varieties[j]:
+            if varieties[sums[i][j]] != varieties[i] & varieties[j]:
                 holds, witness = False, f"{lattice.render(i)}, {lattice.render(j)}"
     _law(report, "variety-sum-intersection", holds, witness)
 
-    subsets = [frozenset(), frozenset({0}), frozenset({ring.one_index})]
-    subsets += [frozenset({r}) for r in range(ring.size)]
-    for _ in range(30):
-        size = rng.randint(0, min(4, ring.size))
-        subsets.append(frozenset(rng.sample(range(ring.size), size)))
-    holds, witness = True, None
-    for s in subsets:
-        gen = lattice.id_of(ideal_generated_by(ring, s))
-        if prim.variety_of_elements(s) != varieties[gen]:
-            holds, witness = False, f"S={sorted(s)}"
-            break
-    _law(report, "variety-generators", holds, witness)
+    # every element set S, folded as (ideal generated by S, variety of S);
+    # elements with the same principal ideal and variety move every state
+    # alike, so one of each suffices
+    reps: dict[tuple[int, int], int] = {}
+    for r in range(ring.size):
+        reps.setdefault((principal[r], prim.variety_of_elements([r])), r)
+    found = _first_failing_fold(
+        (lattice.zero_id, all_pts),
+        list(reps),
+        lambda state, pair: (sums[state[0]][pair[0]], state[1] & pair[1]),
+        lambda state: state[1] == varieties[state[0]],
+    )
+    witness = None if found is None else f"S={sorted(reps[pair] for pair in found)}"
+    _law(report, "variety-generators", found is None, witness)
 
     holds, witness = True, None
     for i in range(n_ideals):
@@ -538,10 +538,7 @@ def verify_theorems(
     )
 
     holds, witness = True, None
-    principal_rads = [
-        lattice.mask(lattice.radical_ids[lattice.id_of(ideal_generated_by(ring, [r]))])
-        for r in range(ring.size)
-    ]
+    principal_rads = [lattice.mask(lattice.radical_ids[p]) for p in principal]
     for r in range(ring.size):
         for s in range(ring.size):
             if (x[r] == x[s]) != (principal_rads[r] == principal_rads[s]):
@@ -592,19 +589,24 @@ def verify_theorems(
     )
 
     # uniform exponents ---------------------------------------------------
+    # every family, folded as (meet, meet of radicals, A2_original): the
+    # uniform-exponent condition holds for a family exactly when it holds
+    # for each member
     all_ids = list(range(n_ideals))
     primary_ids = cls.primary_ideals
-    sampled_families = [all_ids, primary_ids or all_ids]
-    for _ in range(10):
-        size = rng.randint(1, n_ideals)
-        sampled_families.append(sorted(rng.sample(all_ids, size)))
-    holds, witness = True, None
-    for fam in sampled_families:
-        orig = a_conditions(lattice, fam, "A2_original").a2
-        radf = a_conditions(lattice, fam, "A2_radical_form").a2
-        if orig != radf:
-            holds, witness = False, f"family of {len(fam)} ideals disagrees"
-    _law(report, "uniform-exponent-mode-agreement", holds, witness)
+    member_a2 = [a_conditions(lattice, [i], "A2_original").a2 for i in all_ids]
+    rad = [lattice.mask(r) for r in lattice.radical_ids]
+    full = (1 << ring.size) - 1
+    gamma = _first_failing_fold(
+        (full, full, True),
+        all_ids,
+        lambda st, i: (st[0] & lattice.mask(i), st[1] & rad[i], st[2] and member_a2[i]),
+        lambda st: st[2] == (rad[lattice.id_of(st[0])] == st[1]),
+    )
+    witness = None
+    if gamma is not None:
+        witness = "{" + ", ".join(map(lattice.render, sorted(gamma))) + "} disagrees"
+    _law(report, "uniform-exponent-mode-agreement", gamma is None, witness)
 
     a2_values = [
         a_conditions(lattice, fam, mode).a2

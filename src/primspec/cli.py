@@ -312,9 +312,8 @@ def _suite_for_entry(entry, args):
     started = time.perf_counter()
     report = verify_theorems(
         entry.spec_text,
-        seed=args.seed,
-        max_elements=entry.max_elements or args.max_elements,
-        max_ideals=entry.max_ideals or args.max_ideals,
+        max_elements=args.max_elements if entry.max_elements is None else entry.max_elements,
+        max_ideals=args.max_ideals if entry.max_ideals is None else entry.max_ideals,
     )
     elapsed = (time.perf_counter() - started) * 1000
     return report, elapsed
@@ -377,7 +376,7 @@ def cmd_export(args) -> int:
     if args.graph == "specialization":
         _emit(args, dot_specialization(a.prim))
         return 0
-    report = verify_theorems(a, seed=args.seed)
+    report = verify_theorems(a)
     payload = build_report(
         a,
         report,

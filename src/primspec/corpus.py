@@ -1,12 +1,14 @@
 """The built-in ring corpus and the corpus-file format.
 
 A corpus file holds one ring spec per line; ``#`` starts a comment.  A line
-may end with ``max_elements=N`` / ``max_ideals=N`` tokens to override the
-caps for that ring.  Duplicate specs (by canonical rendering) are rejected.
+may end with ``max_elements=N`` / ``max_ideals=N`` tokens, N of 1 to 18
+decimal digits, to override the caps for that ring.  Duplicate specs (by
+canonical rendering) are rejected.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .rings import DEFAULT_ELEMENT_CAP, RingSpecError, parse_ring_spec
@@ -44,8 +46,11 @@ def parse_corpus_lines(lines, max_elements: int = DEFAULT_ELEMENT_CAP) -> list[C
         caps: dict[str, int] = {}
         while tokens and "=" in tokens[-1]:
             key, _, value = tokens.pop().partition("=")
-            if key not in ("max_elements", "max_ideals") or not value.isdigit():
-                raise RingSpecError(f"line {lineno}: bad cap token {key}={value}")
+            # ASCII digits only (isdigit() also admits "²"), and few enough
+            # that int() neither refuses them nor spends time on them
+            if key not in ("max_elements", "max_ideals") or not re.fullmatch(r"[0-9]{1,18}", value):
+                shown = value if len(value) <= 18 else value[:18] + "..."
+                raise RingSpecError(f"line {lineno}: bad cap token {key}={shown}")
             caps[key] = int(value)
         text = " ".join(tokens)
         try:

@@ -12,7 +12,6 @@ the zero ideal and the last id the unit ideal.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .rings import CapExceededError, FiniteRing
 
@@ -38,41 +37,6 @@ def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return mask.bit_count(), tuple(iter_bits(mask))
 
 
-@dataclass(frozen=True)
-class IdealSet:
-    """A subset of ring-element indices closed under + and ring *."""
-
-    ring: FiniteRing = field(compare=False, repr=False)
-    mask: int
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def contains(self, index: int) -> bool:
-        return (self.mask >> index) & 1 == 1
-
-    def members(self) -> list[int]:
-        return list(iter_bits(self.mask))
-
-    def is_proper(self) -> bool:
-        return self.mask != (1 << self.ring.size) - 1
-
-    def is_closed(self) -> bool:
-        """Exhaustive check of the ideal axioms, for tests."""
-        ring, mask = self.ring, self.mask
-        if not mask & 1:
-            return False
-        for a in iter_bits(mask):
-            for b in iter_bits(mask):
-                if not (mask >> ring.add[a][b]) & 1:
-                    return False
-            for r in range(ring.size):
-                if not (mask >> ring.mul[r][a]) & 1:
-                    return False
-        return True
-
-
 def _principal_mask(ring: FiniteRing, g: int) -> int:
     """The principal ideal R*g, which is closed under + because R has 1."""
     mask = 0
@@ -81,13 +45,13 @@ def _principal_mask(ring: FiniteRing, g: int) -> int:
     return mask
 
 
-def ideal_generated_by(ring: FiniteRing, gens) -> IdealSet:
-    """Smallest ideal containing ``gens`` (element indices)."""
+def ideal_generated_by(ring: FiniteRing, gens) -> int:
+    """Mask of the smallest ideal containing ``gens`` (element indices)."""
     mask = 1  # zero ideal
     for g in gens:
         if not (mask >> g) & 1:
             mask = _sum_mask(ring, mask, _principal_mask(ring, g))
-    return IdealSet(ring, mask)
+    return mask
 
 
 def _sum_mask(ring: FiniteRing, a: int, b: int) -> int:
@@ -131,19 +95,18 @@ class IdealLattice:
 
     def __init__(self, ring: FiniteRing, masks: list[int]):
         self.ring = ring
-        order = sorted(masks, key=canonical_key)
-        self.ideals = [IdealSet(ring, m) for m in order]
-        self.id_by_mask = {m: i for i, m in enumerate(order)}
+        self.masks = sorted(masks, key=canonical_key)
+        self.id_by_mask = {m: i for i, m in enumerate(self.masks)}
         full = (1 << ring.size) - 1
-        self.proper = [m != full for m in order]
-        self.radical_ids = [self.id_by_mask[_radical_mask(ring, m)] for m in order]
-        self.prime = [self._is_prime(i) for i in range(len(order))]
-        self.maximal = [self._is_maximal(i) for i in range(len(order))]
-        self.primary = [self._is_primary(i) for i in range(len(order))]
+        self.proper = [m != full for m in self.masks]
+        self.radical_ids = [self.id_by_mask[_radical_mask(ring, m)] for m in self.masks]
+        self.prime = [self._is_prime(i) for i in range(len(self.masks))]
+        self.maximal = [self._is_maximal(i) for i in range(len(self.masks))]
+        self.primary = [self._is_primary(i) for i in range(len(self.masks))]
         self._render_cache: dict[int, str] = {}
 
     def __len__(self) -> int:
-        return len(self.ideals)
+        return len(self.masks)
 
     @property
     def zero_id(self) -> int:
@@ -151,19 +114,18 @@ class IdealLattice:
 
     @property
     def unit_id(self) -> int:
-        return len(self.ideals) - 1
+        return len(self.masks) - 1
 
     def mask(self, ideal_id: int) -> int:
-        return self.ideals[ideal_id].mask
+        return self.masks[ideal_id]
 
-    def id_of(self, ideal: IdealSet | int) -> int:
-        mask = ideal if isinstance(ideal, int) else ideal.mask
+    def id_of(self, mask: int) -> int:
         return self.id_by_mask[mask]
 
     def _is_prime(self, i: int) -> bool:
         if not self.proper[i]:
             return False
-        mask = self.ideals[i].mask
+        mask = self.masks[i]
         mul = self.ring.mul
         outside = [x for x in range(self.ring.size) if not (mask >> x) & 1]
         for r in outside:
@@ -176,17 +138,17 @@ class IdealLattice:
     def _is_maximal(self, i: int) -> bool:
         if not self.proper[i]:
             return False
-        mask = self.ideals[i].mask
-        for j, other in enumerate(self.ideals):
-            if j != i and self.proper[j] and other.mask | mask == other.mask:
+        mask = self.masks[i]
+        for j, other in enumerate(self.masks):
+            if j != i and self.proper[j] and other | mask == other:
                 return False
         return True
 
     def _is_primary(self, i: int) -> bool:
         if not self.proper[i]:
             return False
-        mask = self.ideals[i].mask
-        rad = self.ideals[self.radical_ids[i]].mask
+        mask = self.masks[i]
+        rad = self.masks[self.radical_ids[i]]
         mul = self.ring.mul
         outside_q = [x for x in range(self.ring.size) if not (mask >> x) & 1]
         outside_rad = [x for x in range(self.ring.size) if not (rad >> x) & 1]
@@ -236,7 +198,7 @@ class IdealLattice:
                 current = _sum_mask(self.ring, current, _principal_mask(self.ring, g))
         for g in list(gens):
             rest = [h for h in gens if h != g]
-            if ideal_generated_by(self.ring, rest).mask == mask:
+            if ideal_generated_by(self.ring, rest) == mask:
                 gens = rest
         return gens
 

@@ -1,8 +1,9 @@
 """Report documents (JSON) and DOT exports for one analyzed ring.
 
 The JSON layout is stable: all lists are canonically ordered and the
-content is deterministic for a fixed (spec, seed, caps) triple; the
-measured ``timing_ms`` field is the one value that varies between runs.
+content is deterministic for a fixed (spec, caps) pair.  The measured
+``timing_ms`` field is the one value that varies between runs; ``seed``
+only records the CLI flag, since no check draws random numbers.
 """
 
 from __future__ import annotations

@@ -58,11 +58,11 @@ def test_criterion_01_chain_rings_zn_p_m():
             a = analyze_ring(f"Zn({n})")
             ring, lat = a.ring, a.lattice
             expected_prim = {mask_of([0])} | {
-                ideal_generated_by(ring, [pow(p, i, n)]).mask for i in range(1, m)
+                ideal_generated_by(ring, [pow(p, i, n)]) for i in range(1, m)
             }
             assert {lat.mask(i) for i in a.prim.points} == expected_prim
             assert {lat.mask(i) for i in a.primes.points} == {
-                ideal_generated_by(ring, [p]).mask
+                ideal_generated_by(ring, [p])
             }
             for i in range(len(lat)):
                 if lat.proper[i]:

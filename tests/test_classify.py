@@ -2,6 +2,7 @@
 and the verification suite."""
 
 import copy
+import dataclasses
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from primspec.classify import (
     star_condition,
     verify_theorems,
 )
-from primspec.ideals import mask_of
+from primspec.ideals import ideal_generated_by, mask_of
 from primspec.spectra import Spectrum
 
 
@@ -220,6 +221,89 @@ def test_closure_fold_names_a_smallest_failing_set(monkeypatch):
     assert not ok and witness in smallest
 
 
+def _smallest_generator_failures(a):
+    """Every smallest element set S whose variety differs from that of the
+    ideal it generates, as sorted lists; [] if none."""
+    ring, lat, prim = a.ring, a.lattice, a.prim
+    for size in range(ring.size + 1):
+        found = [
+            list(s)
+            for s in itertools.combinations(range(ring.size), size)
+            if prim.variety_of_elements(s)
+            != prim.variety(lat.id_of(ideal_generated_by(ring, s)))
+        ]
+        if found:
+            return found
+    return []
+
+
+def _smallest_mode_failures(lattice):
+    """Every smallest subfamily on which the two A2 modes disagree, rendered
+    in id order; [] if none."""
+    ids = range(len(lattice))
+    for size in range(1, len(lattice) + 1):
+        found = [
+            "{" + ", ".join(map(lattice.render, gamma)) + "}"
+            for gamma in itertools.combinations(ids, size)
+            if a_conditions(lattice, list(gamma), "A2_original").a2
+            != a_conditions(lattice, list(gamma), "A2_radical_form").a2
+        ]
+        if found:
+            return found
+    return []
+
+
+def test_generator_fold_agrees_with_subset_oracle(corpus_suite):
+    results, _ = corpus_suite
+    checked = 0
+    for text, (a, report) in results.items():
+        if a.ring.size <= 12:
+            entry = report.entry("variety-generators")
+            assert entry.passed == (_smallest_generator_failures(a) == []), text
+            checked += 1
+    assert checked >= 15
+
+
+def test_mode_fold_agrees_with_subfamily_oracle(corpus_suite):
+    results, _ = corpus_suite
+    for text, (a, report) in results.items():
+        assert len(a.lattice) <= 12, text
+        entry = report.entry("uniform-exponent-mode-agreement")
+        assert entry.passed == (_smallest_mode_failures(a.lattice) == []), text
+
+
+def test_generator_fold_names_a_smallest_failing_set(monkeypatch):
+    a = analyze_ring("Zn(12)")
+    true_variety = Spectrum.variety_of_elements
+
+    def variety_of_elements(self, elements):
+        # 4 and 8 generate the same ideal; claim they cut out no point
+        elements = list(elements)
+        if 4 in elements or 8 in elements:
+            return 0
+        return true_variety(self, elements)
+
+    monkeypatch.setattr(Spectrum, "variety_of_elements", variety_of_elements)
+    smallest = [f"S={s}" for s in _smallest_generator_failures(a)]
+    assert smallest == ["S=[4]", "S=[8]"]
+    entry = verify_theorems(a).entry("variety-generators")
+    assert not entry.passed and entry.witness in smallest
+
+
+def test_mode_fold_names_a_smallest_failing_family():
+    a = analyze_ring("Zn(12)")
+    lat = copy.copy(a.lattice)
+    lat.radical_ids = list(lat.radical_ids)
+    lat.radical_ids[lat.zero_id] = lat.zero_id  # true radical of (0) is (6)
+    smallest = _smallest_mode_failures(lat)
+    assert "{(4), (3)}" in smallest
+    entry = verify_theorems(dataclasses.replace(a, lattice=lat)).entry(
+        "uniform-exponent-mode-agreement"
+    )
+    assert not entry.passed
+    assert entry.witness.removesuffix(" disagrees") in smallest
+
+
 def test_verify_theorems_z8():
     report = verify_theorems("Zn(8)")
     assert report.all_passed
@@ -267,8 +351,8 @@ def test_verify_theorems_skipped_on_cap():
 
 
 def test_verify_theorems_deterministic():
-    r1 = verify_theorems("Zn(30)", seed=9)
-    r2 = verify_theorems("Zn(30)", seed=9)
+    r1 = verify_theorems("Zn(30)")
+    r2 = verify_theorems("Zn(30)")
     assert [(e.entry_id, e.lhs, e.rhs, e.passed, e.witness) for e in r1.entries] == [
         (e.entry_id, e.lhs, e.rhs, e.passed, e.witness) for e in r2.entries
     ]

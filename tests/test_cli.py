@@ -368,6 +368,37 @@ def test_verify_paper_skips_over_cap_entries(tmp_path, capsys):
     assert skipped["not_applicable"] > 0
 
 
+def test_verify_paper_zero_ideal_cap_skips(tmp_path, capsys):
+    # a 0 override is a cap like any other, not a missing one
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("Zn(12) max_ideals=0\n")
+    code, out, _ = run(capsys, "verify-paper", "--corpus", str(corpus), "--json")
+    assert code == 0
+    row = json.loads(out)["rings"][0]
+    assert row["passed"] == 0
+    assert row["not_applicable"] == 27
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["\u00b2", "\u0663", "9" * 5000, "-1", ""],
+    ids=["superscript-two", "arabic-indic-three", "5000-digits", "negative", "empty"],
+)
+def test_corpus_bad_cap_value_rejected(value):
+    with pytest.raises(RingSpecError) as err:
+        parse_corpus_lines(["Zn(8)", f"Zn(12) max_elements={value}"])
+    assert str(err.value).startswith("line 2: bad cap token max_elements=")
+    assert len(str(err.value)) < 100
+
+
+def test_corpus_bad_cap_value_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("Zn(12) max_ideals=" + "9" * 5000 + "\n")
+    code, _, err = run(capsys, "verify-paper", "--corpus", str(corpus))
+    assert code == 2
+    assert "line 1: bad cap token" in err
+
+
 def test_corpus_duplicate_rejected():
     with pytest.raises(RingSpecError) as err:
         parse_corpus_lines(["Zn(8)", "Zn( 8 )"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from primspec.rings import (
     CapExceededError,
+    FiniteRing,
     GFSpec,
     ProdSpec,
     QuotSpec,
@@ -258,7 +259,7 @@ def test_ring_axioms(text):
 
 def test_axioms_sampled_above_limit():
     ring = build_ring(parse_ring_spec("Zn(72)"))
-    assert check_ring_axioms(ring, exhaustive_limit=64, samples=3000) == []
+    assert check_ring_axioms(ring) == []
 
 
 def test_ring_axioms_whole_corpus():
@@ -267,6 +268,82 @@ def test_ring_axioms_whole_corpus():
     for text in DEFAULT_CORPUS:
         ring = build_ring(parse_ring_spec(text))
         assert check_ring_axioms(ring) == [], text
+
+
+def _definitional_violations(ring):
+    """Slow oracle: every axiom straight from its definition, the triple
+    laws on all n^3 triples; stops at the first violation."""
+    n, add, mul = ring.size, ring.add, ring.mul
+    if ring.one_index == ring.zero_index:
+        return ["identity equals zero"]
+    for a, b in itertools.product(range(n), repeat=2):
+        if (
+            add[0][a] != a
+            or add[a][ring.neg[a]] != 0
+            or mul[ring.one_index][a] != a
+            or add[a][b] != add[b][a]
+            or mul[a][b] != mul[b][a]
+        ):
+            return [f"pairwise law on {a}, {b}"]
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if (
+            add[add[a][b]][c] != add[a][add[b][c]]
+            or mul[mul[a][b]][c] != mul[a][mul[b][c]]
+            or mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]
+        ):
+            return [f"triple law on {a}, {b}, {c}"]
+    return []
+
+
+def _with_entry(ring, table, i, j, value):
+    """A copy of ``ring`` with ``table[i][j]`` and ``table[j][i]`` set to value."""
+    tables = {"add": [list(row) for row in ring.add], "mul": [list(row) for row in ring.mul]}
+    tables[table][i][j] = tables[table][j][i] = value
+    return FiniteRing(
+        ring.size, tables["add"], tables["mul"], ring.neg, ring.one_index, ring.label,
+        ring.element_names,
+    )
+
+
+def test_ring_axioms_agree_with_triple_oracle_on_corpus():
+    from primspec.corpus import DEFAULT_CORPUS
+
+    for text in DEFAULT_CORPUS:
+        ring = build_ring(parse_ring_spec(text))
+        assert check_ring_axioms(ring) == _definitional_violations(ring) == [], text
+
+
+@pytest.mark.parametrize("text", ["Zn(6)", "Quot(GF(2), x^3)", "Prod(GF(2), GF(2))"])
+@pytest.mark.parametrize("table", ["add", "mul"])
+def test_ring_axioms_agree_with_triple_oracle_on_defects(text, table):
+    ring = build_ring(parse_ring_spec(text))
+    n = ring.size
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        for value in range(n):
+            broken = _with_entry(ring, table, i, j, value)
+            assert bool(check_ring_axioms(broken)) == bool(
+                _definitional_violations(broken)
+            ), (table, i, j, value)
+
+
+def test_ring_axioms_catch_one_symmetric_defect_in_gf256():
+    # a defect too rare for 4000 sampled triples: only triples touching
+    # 7*9 see it
+    ring = build_ring(parse_ring_spec("GF(2^8)"))
+    broken = _with_entry(ring, "mul", 7, 9, ring.mul[7][9] + 1)
+    assert check_ring_axioms(broken) == ["7*(1+8) not distributive"]
+    assert _definitional_violations(broken) != []
+
+
+def test_ring_axioms_exhaustive_at_scale():
+    rings = [
+        build_ring(parse_ring_spec(text))
+        for text in ("GF(2^8)", "Quot(Zn(4), x^4)", "Prod(Zn(16), Zn(16))")
+    ]
+    started = time.perf_counter()
+    for ring in rings:
+        assert check_ring_axioms(ring) == [], ring.label
+    assert time.perf_counter() - started < 3.0
 
 
 def test_pow_additivity_sampled():
