@@ -2,7 +2,9 @@
 
 A corpus file holds one ring spec per line; ``#`` starts a comment.  A line
 may end with ``max_elements=N`` / ``max_ideals=N`` tokens, N of 1 to 18
-decimal digits, to override the caps for that ring.  Duplicate specs (by
+decimal digits, to override the caps for that ring.  A line is parsed under
+the larger of the global element cap and its own, so a lowered cap reaches
+the theorem suite, which reports the ring as skipped.  Duplicate specs (by
 canonical rendering) are rejected.
 """
 
@@ -54,7 +56,7 @@ def parse_corpus_lines(lines, max_elements: int = DEFAULT_ELEMENT_CAP) -> list[C
             caps[key] = int(value)
         text = " ".join(tokens)
         try:
-            expr = parse_ring_spec(text, caps.get("max_elements", max_elements))
+            expr = parse_ring_spec(text, max(max_elements, caps.get("max_elements", 0)))
         except RingSpecError as exc:
             raise RingSpecError(f"line {lineno}: {exc}") from exc
         canonical = str(expr)

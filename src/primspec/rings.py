@@ -536,58 +536,66 @@ def _poly_element_name(coeffs: list[int], coeff_names: list[str], var: str) -> s
 def _build_quotient(
     base: FiniteRing, modulus: tuple[int, ...], var: str, label: str, spec
 ) -> FiniteRing:
+    """Tables of base[var]/(modulus) for a monic modulus of degree d.
+
+    The element c0 + c1 x + ... + c_{d-1} x^{d-1} has index
+    idx = c0 + b*(c1 + b*(...)), b the base size, so idx % b is its constant
+    coefficient and idx // b the element c1 + c2 x + ... (whose top digit
+    is 0).  Each entry is then a constant number of lookups into entries
+    already built:
+
+    - add[a][c] = badd[a % b][c % b] + b*add[a // b][c // b], row 0 the
+      identity; neg[a] = bneg[a % b] + b*neg[a // b].
+    - xshift[a] = x*a shifts the digits up and folds the top digit t back
+      through x^d = -(modulus - x^d): with top = b^(d-1) and fold[t] the
+      index of -t*(modulus - x^d),
+      xshift[a] = add[(a % top)*b][fold[a // top]].
+    - mul[a][c] for a scalar c < b is bmul[a % b][c] + b*mul[a // b][c];
+      for c >= b, Horner's rule a*c = a*(c % b) + x*(a*(c // b)) gives
+      mul[a][c] = add[mul[a][c % b]][xshift[mul[a][c // b]]].
+
+    Rows are filled in increasing a and columns in increasing c, so every
+    lookup reads a finished row or an earlier column of the current one;
+    the columns of one digit count are made in one pass from those of one
+    digit fewer.
+    """
     deg = len(modulus) - 1
     b = base.size
     size = b**deg
-    coeffs_of = []
-    for idx in range(size):
-        c, i = [], idx
-        for _ in range(deg):
-            c.append(i % b)
-            i //= b
-        coeffs_of.append(c)
-
-    def encode(coeffs: list[int]) -> int:
-        idx = 0
-        for pos in range(deg - 1, -1, -1):
-            idx = idx * b + coeffs[pos]
-        return idx
-
+    top = size // b  # b^(d-1): the indices below it have top digit 0
     badd, bmul, bneg = base.add, base.mul, base.neg
 
-    def reduce(prod: list[int]) -> list[int]:
-        for e in range(len(prod) - 1, deg - 1, -1):
-            c = prod[e]
-            if c:
-                prod[e] = 0
-                shift = e - deg
-                for j in range(deg):
-                    mc = modulus[j]
-                    if mc:
-                        prod[shift + j] = badd[prod[shift + j]][bneg[bmul[c][mc]]]
-        return prod[:deg]
+    add = [list(range(size))]
+    for a in range(1, size):
+        low, high = badd[a % b], add[a // b]
+        add.append([x + b * h for h in high[:top] for x in low])
+    neg = [0]
+    for a in range(1, size):
+        neg.append(bneg[a % b] + b * neg[a // b])
 
-    add = [
-        [encode([badd[x][y] for x, y in zip(ca, coeffs_of[j])]) for j in range(size)]
-        for ca in coeffs_of
+    fold = [
+        sum(bneg[bmul[t][mc]] * b**j for j, mc in enumerate(modulus[:-1])) for t in range(b)
     ]
-    neg = [encode([bneg[x] for x in c]) for c in coeffs_of]
-    mul = []
-    for ca in coeffs_of:
-        row = []
-        for j in range(size):
-            cb = coeffs_of[j]
-            prod = [0] * (2 * deg - 1)
-            for i, ci in enumerate(ca):
-                if ci:
-                    for k, cj in enumerate(cb):
-                        if cj:
-                            prod[i + k] = badd[prod[i + k]][bmul[ci][cj]]
-            row.append(encode(reduce(prod)))
+    xshift = [add[(a % top) * b][fold[a // top]] for a in range(size)]
+
+    mul = [[0] * size]
+    for a in range(1, size):
+        low, high = bmul[a % b], mul[a // b]
+        row = [x + b * h for x, h in zip(low, high)]
+        scalars = row[:]
+        for k in range(deg - 1):
+            # the columns of k + 2 digits, from those of k + 1 digits
+            row += [add[s][xshift[v]] for v in row[b**k : b ** (k + 1)] for s in scalars]
         mul.append(row)
-    one = encode([base.one_index] + [0] * (deg - 1))
-    names = [_poly_element_name(c, base.element_names, var) for c in coeffs_of]
-    return FiniteRing(size, add, mul, neg, one, label, names, spec)
+
+    names = []
+    for idx in range(size):
+        coeffs, rest = [], idx
+        for _ in range(deg):
+            rest, c = divmod(rest, b)
+            coeffs.append(c)
+        names.append(_poly_element_name(coeffs, base.element_names, var))
+    return FiniteRing(size, add, mul, neg, base.one_index, label, names, spec)
 
 
 def _build_product(left: FiniteRing, right: FiniteRing, label: str, spec) -> FiniteRing:

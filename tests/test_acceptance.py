@@ -301,3 +301,14 @@ def test_criterion_12_export_at_scale(capsys):
         assert report["elements"] == 256
         assert all(entry["pass"] for entry in report["theorems"])
     _verdict(12, "Zn(256) and GF(2^8) exported within 5 s, every law passing")
+
+
+def test_criterion_13_export_quotient_at_the_cap(capsys):
+    # a 1024-element field built as a quotient, exported within 10 s
+    with _timed(10.0):
+        assert main(["export", "GF(2^10)"]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert report["elements"] == 1024
+    assert len(report["ideals"]) == 2
+    assert all(entry["pass"] for entry in report["theorems"])
+    _verdict(13, "GF(2^10) exported within 10 s, every law passing")

@@ -368,6 +368,32 @@ def test_verify_paper_skips_over_cap_entries(tmp_path, capsys):
     assert skipped["not_applicable"] > 0
 
 
+def test_verify_paper_lowered_element_cap_skips_only_its_ring(tmp_path, capsys):
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("Zn(12) max_elements=5\nZn(6)\n")
+    code, out, _ = run(capsys, "verify-paper", "--corpus", str(corpus), "--json")
+    assert code == 0
+    skipped, checked = json.loads(out)["rings"]
+    assert (skipped["spec"], skipped["passed"], skipped["not_applicable"]) == ("Zn(12)", 0, 27)
+    assert checked["spec"] == "Zn(6)" and checked["passed"] == 27
+
+
+def test_verify_paper_raised_element_cap_admits_its_ring(tmp_path, capsys):
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("Zn(30) max_elements=32\nZn(6)\n")
+    code, out, _ = run(
+        capsys, "--max-elements", "8", "verify-paper", "--corpus", str(corpus), "--json"
+    )
+    assert code == 0
+    raised, capped = json.loads(out)["rings"]
+    assert (raised["spec"], raised["passed"], raised["not_applicable"]) == ("Zn(30)", 27, 0)
+    assert (capped["spec"], capped["passed"]) == ("Zn(6)", 27)
+    # without the override the global cap still rejects the corpus up front
+    corpus.write_text("Zn(30)\n")
+    code, _, err = run(capsys, "--max-elements", "8", "verify-paper", "--corpus", str(corpus))
+    assert code == 3 and "exceeds element cap 8" in err
+
+
 def test_verify_paper_zero_ideal_cap_skips(tmp_path, capsys):
     # a 0 override is a cap like any other, not a missing one
     corpus = tmp_path / "rings.txt"

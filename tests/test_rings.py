@@ -15,9 +15,11 @@ from primspec.rings import (
     QuotSpec,
     RingSpecError,
     ZnSpec,
+    _poly_element_name,
     build_ring,
     check_ring_axioms,
     element_arithmetic,
+    find_irreducible_poly,
     parse_ring_spec,
     prime_power,
     unit_and_nilpotent_flags,
@@ -240,6 +242,126 @@ def test_quotient_arithmetic_against_residue_oracle():
     for a in range(16):
         for b in range(16):
             assert gr.mul[a][b] == oracle_mul(a, b)
+
+
+def _polynomial_quotient(base, modulus, var, label, spec):
+    """Slow oracle for the quotient builder: every product multiplied out as
+    a polynomial and reduced by the modulus, n^2 times."""
+    deg = len(modulus) - 1
+    b = base.size
+    size = b**deg
+    coeffs_of = []
+    for idx in range(size):
+        c, i = [], idx
+        for _ in range(deg):
+            c.append(i % b)
+            i //= b
+        coeffs_of.append(c)
+
+    def encode(coeffs):
+        idx = 0
+        for pos in range(deg - 1, -1, -1):
+            idx = idx * b + coeffs[pos]
+        return idx
+
+    badd, bmul, bneg = base.add, base.mul, base.neg
+
+    def reduce(prod):
+        for e in range(len(prod) - 1, deg - 1, -1):
+            c = prod[e]
+            if c:
+                prod[e] = 0
+                shift = e - deg
+                for j in range(deg):
+                    mc = modulus[j]
+                    if mc:
+                        prod[shift + j] = badd[prod[shift + j]][bneg[bmul[c][mc]]]
+        return prod[:deg]
+
+    add = [
+        [encode([badd[x][y] for x, y in zip(ca, coeffs_of[j])]) for j in range(size)]
+        for ca in coeffs_of
+    ]
+    neg = [encode([bneg[x] for x in c]) for c in coeffs_of]
+    mul = []
+    for ca in coeffs_of:
+        row = []
+        for j in range(size):
+            cb = coeffs_of[j]
+            prod = [0] * (2 * deg - 1)
+            for i, ci in enumerate(ca):
+                if ci:
+                    for k, cj in enumerate(cb):
+                        if cj:
+                            prod[i + k] = badd[prod[i + k]][bmul[ci][cj]]
+            row.append(encode(reduce(prod)))
+        mul.append(row)
+    one = encode([base.one_index] + [0] * (deg - 1))
+    names = [_poly_element_name(c, base.element_names, var) for c in coeffs_of]
+    return FiniteRing(size, add, mul, neg, one, label, names, spec)
+
+
+def _oracle_quotient(spec):
+    """The GF/Quot ring of ``spec`` built by ``_polynomial_quotient`` on the
+    same base ring and modulus that ``build_ring`` uses."""
+    if isinstance(spec, GFSpec):
+        base, modulus, var = build_ring(ZnSpec(spec.p)), find_irreducible_poly(spec.p, spec.k), "a"
+    else:
+        base, modulus, var = build_ring(spec.base), spec.modulus, "x"
+    return _polynomial_quotient(base, modulus, var, str(spec), spec)
+
+
+# GF/Quot specs of the benchmark's two ring pools, as literals
+_BENCH_POOL_QUOTIENTS = [
+    "Quot(Zn(8), x^2+x+1)",
+    "Quot(Zn(4), x^3+x+1)",
+    "Quot(Zn(9), x^2+1)",
+    "GF(2^6)",
+    "GF(3^4)",
+    "Quot(Zn(4), x^3)",
+    "Quot(Zn(4), x^2)",
+]
+
+# degree-1 moduli, field and non-prime-power bases, nilpotent moduli
+_EDGE_QUOTIENTS = [
+    "Quot(Zn(5), x+3)",
+    "Quot(Zn(6), x)",
+    "Quot(GF(4), x^3+x+1)",
+    "Quot(GF(8), x^2+x+1)",
+    "Quot(Zn(6), x^3+5x+1)",
+    "Quot(Zn(12), x^2)",
+    "Quot(Zn(2), x^2)",
+    "Quot(Zn(4), x^4)",
+]
+
+
+def test_quotient_tables_match_polynomial_oracle():
+    from primspec.corpus import DEFAULT_CORPUS
+
+    corpus = [t for t in DEFAULT_CORPUS if t.startswith(("GF(", "Quot("))]
+    for text in corpus + _BENCH_POOL_QUOTIENTS + _EDGE_QUOTIENTS:
+        spec = parse_ring_spec(text)
+        if isinstance(spec, GFSpec) and spec.k == 1:
+            continue  # prime fields are built as Zn tables
+        ring, oracle = build_ring(spec), _oracle_quotient(spec)
+        assert ring.add == oracle.add, text
+        assert ring.mul == oracle.mul, text
+        assert ring.neg == oracle.neg, text
+        assert ring.one_index == oracle.one_index, text
+        assert ring.element_names == oracle.element_names, text
+
+
+def test_quotients_at_the_cap_build_fast_and_satisfy_the_axioms():
+    specs = [
+        parse_ring_spec(text)
+        for text in ("GF(2^10)", "Quot(Zn(4), x^5)", "Quot(GF(2), x^10+x^3+1)")
+    ]
+    started = time.perf_counter()
+    rings = [build_ring(spec) for spec in specs]
+    assert time.perf_counter() - started < 5.0
+    for ring in rings:
+        assert ring.size == 1024
+        assert check_ring_axioms(ring) == [], ring.label
 
 
 def test_unit_and_nilpotent_flags_examples():
