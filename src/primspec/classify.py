@@ -8,7 +8,6 @@ independently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .ideals import (
@@ -45,7 +44,7 @@ class RingClassification:
     is_local: bool
     is_zero_dimensional: bool
     is_p_ring: bool
-    is_w_ring: bool | None
+    is_w_ring: bool
     krull_dimension: int
     maximal_ideals: list[int]
     prime_ideals: list[int]
@@ -82,50 +81,53 @@ def _krull_dimension(lattice: IdealLattice, primes: list[int]) -> int:
     return max(longest.values(), default=0)
 
 
-def is_w_ring(
-    lattice: IdealLattice, max_prim: int = 16
-) -> tuple[bool | None, str | None]:
+def is_w_ring(lattice: IdealLattice) -> tuple[bool, str | None]:
     """Does every proper ideal have exactly one irredundant representation
     as an intersection of primary ideals?
 
-    The scan is exhaustive over subsets of Prim(R); above ``max_prim``
-    points the answer is unknown (None), never guessed.  The unit ideal is
-    excluded (it is the empty intersection by convention).
+    For an ideal I and each x outside it, let E_x be the set of primaries
+    above I that miss x.  A family of primaries above I meets to I exactly
+    when it hits every E_x, and is irredundant exactly when it is a minimal
+    such hitting set.  So (Berge: Tr(Tr(H)) = min H) the representation is
+    unique exactly when every E_x holds a one-member E_y.  The unit ideal
+    has no E_x and passes as the empty intersection.  A failure names the
+    first failing ideal and two of its representations, if it has any.
     """
     primaries = [i for i in range(len(lattice)) if lattice.primary[i]]
-    if len(primaries) > max_prim:
-        return None, f"Prim has {len(primaries)} points, exhaustive scan capped"
-    full = (1 << lattice.ring.size) - 1
-    reps: dict[int, list[tuple[int, ...]]] = {}
-    for size in range(1, len(primaries) + 1):
-        for combo in itertools.combinations(primaries, size):
-            meet = full
-            for i in combo:
-                meet &= lattice.mask(i)
-            irredundant = True
-            for drop in range(size):
-                rest = full
-                for j, i in enumerate(combo):
-                    if j != drop:
-                        rest &= lattice.mask(i)
-                if rest == meet:
-                    irredundant = False
-                    break
-            if irredundant:
-                reps.setdefault(meet, []).append(combo)
+    masks = [lattice.mask(q) for q in primaries]
+    # the elements grouped by the primaries they miss, one split per primary
+    members = {0: (1 << lattice.ring.size) - 1}
+    for k, q in enumerate(masks):
+        members = {
+            missing | bit: part
+            for missing, xs in members.items()
+            for bit, part in ((0, xs & q), (1 << k, xs & ~q))
+            if part
+        }
     for ideal_id in range(len(lattice)):
-        if not lattice.proper[ideal_id]:
+        mask = lattice.mask(ideal_id)
+        above = mask_of(k for k, q in enumerate(masks) if mask & ~q == 0)
+        edges = {missing & above for missing, xs in members.items() if xs & ~mask}
+        # the one-member edges are distinct bits, so their sum is their union
+        forced = sum(e for e in edges if e & (e - 1) == 0)
+        failing = [e for e in edges if not e & forced]
+        if not failing:
             continue
-        found = reps.get(lattice.mask(ideal_id), [])
-        if len(found) != 1:
-            shown = [
-                "{" + ", ".join(lattice.render(i) for i in combo) + "}"
-                for combo in found
-            ]
-            return False, (
-                f"ideal {lattice.render(ideal_id)} has {len(found)} "
-                f"irredundant representations: {shown}"
-            )
+        # a smallest failing E is a minimal edge, so each member v of it
+        # extends the members outside E to a hitting set that meets E in v
+        smallest = min(failing, key=lambda e: (e.bit_count(), e))
+        reps = []
+        for v in list(iter_bits(smallest))[:2]:
+            rep = above & ~smallest | 1 << v
+            for k in iter_bits(rep):
+                if all(e & rep & ~(1 << k) for e in edges):
+                    rep &= ~(1 << k)
+            reps.append("{" + ", ".join(lattice.render(primaries[k]) for k in iter_bits(rep)) + "}")
+        name = lattice.render(ideal_id)
+        if not reps:
+            return False, f"ideal {name} has no irredundant representation"
+        shown = " and ".join(reps)
+        return False, f"ideal {name} has more than one irredundant representation: {shown}"
     return True, None
 
 
@@ -676,24 +678,21 @@ def verify_theorems(
         lattice.primary[nil],
     )
 
-    w_known = cls.is_w_ring is True
-    sober = is_sober(topo)
     _iff(
         report,
         "t0-iff-sober",
-        sep.t0 if w_known else None,
-        sober if w_known else None,
+        sep.t0,
+        is_sober(topo),
         cls.w_ring_witness,
-        applicable=w_known,
+        applicable=cls.is_w_ring,
     )
-    spectral = is_spectral(topo, prim.basic_open_family())
     _iff(
         report,
         "spectral-iff-t0",
-        spectral if w_known else None,
-        sep.t0 if w_known else None,
+        is_spectral(topo, prim.basic_open_family()),
+        sep.t0,
         cls.w_ring_witness,
-        applicable=w_known,
+        applicable=cls.is_w_ring,
     )
 
     supercompact, sc_witness = is_supercompact(topo)

@@ -2,7 +2,7 @@
 replay the full verification suite over a corpus, export JSON/DOT.
 
 Exit codes: 0 success / all checks pass, 1 a checked property is false or a
-suite entry fails, 2 usage or validation error, 3 a cap was exceeded.
+suite entry fails, 2 usage, validation or file error, 3 a cap was exceeded.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import time
 from .classify import (
     a_conditions,
     analyze_ring,
-    is_w_ring,
     star_condition,
     verify_theorems,
 )
@@ -64,6 +63,14 @@ CHECK_PROPERTIES = (
 )
 
 
+def non_negative_int(text: str) -> int:
+    """The argparse type of the cap flags: a negative cap is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be at least 0, not {value}")
+    return value
+
+
 def _globals_parser(on_subcommand: bool = False) -> argparse.ArgumentParser:
     """The global flags.  Their copy on each subcommand has SUPPRESS
     defaults, so it sets only a flag given after the subcommand and never
@@ -75,8 +82,8 @@ def _globals_parser(on_subcommand: bool = False) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--json", action="store_true", default=default(False), help="emit JSON")
     p.add_argument("--out", metavar="PATH", default=default(None), help="write output to a file")
-    p.add_argument("--max-elements", type=int, default=default(DEFAULT_ELEMENT_CAP))
-    p.add_argument("--max-ideals", type=int, default=default(DEFAULT_IDEAL_CAP))
+    p.add_argument("--max-elements", type=non_negative_int, default=default(DEFAULT_ELEMENT_CAP))
+    p.add_argument("--max-ideals", type=non_negative_int, default=default(DEFAULT_IDEAL_CAP))
     p.add_argument("--seed", type=int, default=default(0))
     p.add_argument(
         "--corpus", metavar="PATH", default=default(None), help="corpus file (verify-paper)"
@@ -281,10 +288,7 @@ def cmd_check(args) -> int:
     elif prop == "p-ring":
         value = cls.is_p_ring
     elif prop == "w-ring":
-        value, wit = is_w_ring(a.lattice)
-        if value is None:
-            raise CapExceededError(wit or "Prim too large for the exhaustive scan")
-        detail = wit
+        value, detail = cls.is_w_ring, cls.w_ring_witness
     elif prop == "star":
         value, wit = star_condition(a.lattice, a.prim)
         detail = wit
@@ -502,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RingSpecError, NotACoverError, ValueError) as exc:
+    except (RingSpecError, NotACoverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

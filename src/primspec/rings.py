@@ -230,7 +230,8 @@ class _Parser:
             self.error("expected constructor name")
         return self.text[start : self.pos]
 
-    def parse_expr(self) -> RingSpecExpr:
+    def parse_expr(self, depth: int = 0) -> RingSpecExpr:
+        """One ring expression inside ``depth`` enclosing Prods."""
         name = self.parse_name()
         if name == "Zn":
             self.expect("(")
@@ -265,9 +266,12 @@ class _Parser:
             return GFSpec(p, k)
         if name == "Quot":
             self.expect("(")
-            base = self.parse_expr()
-            if not isinstance(base, (ZnSpec, GFSpec)):
+            start = self.pos
+            # checked before parsing the base, so no Quot nests in another
+            if self.parse_name() not in ("Zn", "GF"):
                 self.error("Quot base must be Zn or GF")
+            self.pos = start
+            base = self.parse_expr()
             self.expect(",")
             coeffs = self.parse_poly(spec_characteristic(base))
             self.expect(")")
@@ -275,10 +279,13 @@ class _Parser:
             self._check_power_cap(spec_size(base), degree)
             return QuotSpec(base, tuple(coeffs.get(e, 0) for e in range(degree + 1)))
         if name == "Prod":
+            # every factor has at least 2 elements, so a chain of depth + 1
+            # Prods has at least 2^(depth + 2): the nesting is bounded by the cap
+            self._check_power_cap(2, depth + 2)
             self.expect("(")
-            left = self.parse_expr()
+            left = self.parse_expr(depth + 1)
             self.expect(",")
-            right = self.parse_expr()
+            right = self.parse_expr(depth + 1)
             self.expect(")")
             self._check_cap(spec_size(left) * spec_size(right))
             return ProdSpec(left, right)

@@ -16,7 +16,8 @@ from primspec.classify import (
     star_condition,
     verify_theorems,
 )
-from primspec.ideals import ideal_generated_by, mask_of
+from primspec.ideals import enumerate_ideals, ideal_generated_by, mask_of
+from primspec.rings import build_ring, parse_ring_spec
 from primspec.spectra import Spectrum
 
 
@@ -64,11 +65,120 @@ def test_w_ring_counterexample():
     assert "(2x)" in witness
 
 
-def test_w_ring_unknown_above_cap():
-    a = analyze_ring("Zn(8)")
-    verdict, witness = is_w_ring(a.lattice, max_prim=2)
-    assert verdict is None
-    assert "exhaustive scan" in witness
+# Slow oracle: the subset scan that the transversal test replaced.
+
+
+def _w_ring_subset_scan(lattice):
+    """Every irredundant primary representation of each proper ideal, found
+    by scanning every subset of Prim(R): {ideal id: [rendered families]}."""
+    primaries = [i for i in range(len(lattice)) if lattice.primary[i]]
+    full = (1 << lattice.ring.size) - 1
+    reps = {}
+    for size in range(1, len(primaries) + 1):
+        for combo in itertools.combinations(primaries, size):
+            masks = [lattice.mask(i) for i in combo]
+            prefix, suffix = [full], [full]
+            for m, n in zip(masks, reversed(masks)):
+                prefix.append(prefix[-1] & m)
+                suffix.append(suffix[-1] & n)
+            meet = prefix[-1]
+            if all(prefix[j] & suffix[size - 1 - j] != meet for j in range(size)):
+                rendered = "{" + ", ".join(lattice.render(i) for i in combo) + "}"
+                reps.setdefault(meet, []).append(rendered)
+    return {i: reps.get(lattice.mask(i), []) for i in range(len(lattice)) if lattice.proper[i]}
+
+
+def _assert_w_ring_matches_scan(lattice, label):
+    """is_w_ring agrees with the scan on the verdict and the first failing
+    ideal, and its witness names two of that ideal's irredundant
+    representations, or none when the scan finds none.  Returns the
+    number of representations the scan finds for that ideal, or 1."""
+    scan = _w_ring_subset_scan(lattice)
+    failing = [i for i, reps in scan.items() if len(reps) != 1]
+    verdict, witness = is_w_ring(lattice)
+    assert verdict == (not failing), label
+    if verdict:
+        assert witness is None, label
+        return 1
+    found = scan[failing[0]]
+    head = f"ideal {lattice.render(failing[0])} has "
+    if not found:
+        assert witness == head + "no irredundant representation", label
+        return 0
+    prefix = head + "more than one irredundant representation: "
+    assert witness.startswith(prefix), (label, witness)
+    shown = witness.removeprefix(prefix).split(" and ")
+    assert len(shown) == 2 and shown[0] != shown[1], (label, witness)
+    assert set(shown) <= set(found), (label, witness, found)
+    return len(found)
+
+
+# The rings of the benchmark's two pools, as literals, and four non-W rings
+_W_RING_SPECS = [
+    "Zn(64)",
+    "Zn(72)",
+    "Zn(81)",
+    "Zn(125)",
+    "Zn(128)",
+    "Quot(Zn(8), x^2+x+1)",
+    "Quot(Zn(4), x^3+x+1)",
+    "Quot(Zn(9), x^2+1)",
+    "GF(2^6)",
+    "GF(3^4)",
+    "Prod(GF(2), Prod(GF(2), Prod(GF(2), Prod(GF(2), GF(2)))))",
+    "Prod(Zn(4), Prod(GF(2), Prod(GF(2), GF(2))))",
+    "Prod(Zn(6), Zn(6))",
+    "Prod(Zn(8), Prod(GF(2), GF(2)))",
+    "Prod(Zn(12), Zn(4))",
+    "Prod(Zn(4), Prod(Zn(4), Zn(4)))",
+    "Quot(Zn(4), x^3)",
+    "Prod(Quot(Zn(4), x^2), GF(2))",
+    "Quot(Zn(4), x^2)",
+    "Quot(Zn(9), x^2)",
+    "Quot(Zn(9), x^3)",
+    "Prod(Quot(Zn(4), x^2), Quot(Zn(4), x^2))",
+]
+
+
+@pytest.fixture(scope="module")
+def w_ring_lattices(corpus_analyses):
+    lattices = {text: a.lattice for text, a in corpus_analyses.items()}
+    for text in _W_RING_SPECS:
+        lattices[text] = enumerate_ideals(build_ring(parse_ring_spec(text)))
+    return lattices
+
+
+def test_w_ring_matches_subset_scan(w_ring_lattices):
+    counts = [_assert_w_ring_matches_scan(lat, text) for text, lat in w_ring_lattices.items()]
+    assert counts.count(1) >= 49 and max(counts) >= 2
+
+
+def test_w_ring_matches_subset_scan_without_one_primary(w_ring_lattices):
+    """Copies of the lattices of at most 12 points, each with one primary
+    flag switched off, reach the ideals with no representation at all."""
+    counts = []
+    for text, lattice in w_ring_lattices.items():
+        primaries = [i for i in range(len(lattice)) if lattice.primary[i]]
+        if len(primaries) > 12:
+            continue
+        for q in primaries:
+            lat = copy.copy(lattice)
+            lat.primary = list(lattice.primary)
+            lat.primary[q] = False
+            counts.append(_assert_w_ring_matches_scan(lat, f"{text} without {lat.render(q)}"))
+    assert 0 in counts and max(counts) >= 2
+
+
+@pytest.mark.parametrize(
+    "text, points, ideal",
+    [("Quot(Zn(4), x^4)", 22, "(2x^3)"), ("Quot(Zn(16), x^2)", 22, "(8x)")],
+)
+def test_w_ring_decided_above_sixteen_points(text, points, ideal):
+    lattice = enumerate_ideals(build_ring(parse_ring_spec(text)))
+    assert sum(lattice.primary) == points
+    verdict, witness = is_w_ring(lattice)
+    assert verdict is False
+    assert witness.startswith(f"ideal {ideal} has more than one irredundant representation: ")
 
 
 def test_star_condition_examples():

@@ -5,6 +5,8 @@ import re
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primspec.cli import main
 from primspec.corpus import DEFAULT_CORPUS, default_corpus, load_corpus, parse_corpus_lines
@@ -39,6 +41,7 @@ def test_check_t0_true_exit_0(capsys):
         ("local", "Zn(30)", 1),
         ("p-ring", "Zn(6)", 0),
         ("w-ring", "Zn(12)", 0),
+        ("w-ring", "Quot(Zn(4), x^4)", 1),
         ("star", "Zn(30)", 1),
         ("star", "Zn(12)", 0),
         ("a2", "Zn(8)", 0),
@@ -83,6 +86,32 @@ def test_validation_error_exit_2(capsys):
 def test_cap_error_exit_3(capsys):
     code, _, err = run(capsys, "info", "Zn(2000)")
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "Zn(6)", "--out", "{tmp}/missing/report.json"],
+        ["export", "Zn(6)", "--out", "{tmp}"],
+        ["verify-paper", "--corpus", "{tmp}/missing.txt"],
+        ["verify-paper", "--corpus", "{tmp}"],
+    ],
+    ids=["out-missing-dir", "out-is-dir", "corpus-missing", "corpus-is-dir"],
+)
+def test_path_error_exit_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--max-elements", "--max-ideals"])
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_negative_cap_is_a_usage_error(capsys, flag, before):
+    argv = [flag, "-1", "info", "Zn(4)"] if before else ["info", "Zn(4)", flag, "-1"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "a cap must be at least 0, not -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -448,3 +477,76 @@ def test_default_corpus_well_formed():
     assert len({e.spec_text for e in entries}) == len(entries)
     for text in DEFAULT_CORPUS:
         assert str(parse_ring_spec(text)) == text
+
+
+# Grammar fuzzer: specs drawn from the grammar, oversized, deeply nested or
+# mangled, must each end fast with a documented exit code.
+
+_LITERALS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.integers(0, 70).map(str),
+    st.integers(0, 10**40).map(str),
+    st.sampled_from(["1" + "0" * 5000, "0" * 3000 + "7", "²", "٣", "-3", ""]),
+)
+_TERMS = st.one_of(
+    st.just("x"),
+    st.builds("x^{}".format, _LITERALS),
+    st.builds("{}x^{}".format, _LITERALS, _LITERALS),
+    st.builds("{}*x".format, _LITERALS),
+    _LITERALS,
+)
+_POLYS = st.lists(st.tuples(st.sampled_from(["+", "-"]), _TERMS), min_size=1, max_size=4).map(
+    lambda terms: "".join(sign + term for sign, term in terms).removeprefix("+")
+)
+_LEAVES = st.one_of(
+    st.builds("Zn({})".format, _LITERALS),
+    st.builds("GF({})".format, _LITERALS),
+    st.builds("GF({}^{})".format, _LITERALS, _LITERALS),
+)
+_GRAMMAR = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.builds("Prod({}, {})".format, inner, inner),
+        st.builds("Quot({}, {})".format, inner, _POLYS),
+    ),
+    max_leaves=6,
+)
+def _nest(template, depth):
+    left, right = template.split("{}")
+    return left * depth + "Zn(2)" + right * depth
+
+
+def _mangle(spec, pos, token):
+    return spec[:pos] + token + spec[pos + 1 :]
+
+
+_SPECS = st.one_of(
+    _GRAMMAR,
+    st.builds(
+        _nest,
+        st.sampled_from(["Prod(Zn(2), {})", "Prod({}, GF(2))", "Quot({}, x)", "({})", "Prod({}"]),
+        st.integers(1, 5000),
+    ),
+    # one character of a grammatical spec replaced by a token or dropped
+    st.builds(
+        _mangle,
+        _GRAMMAR,
+        st.integers(0, 60),
+        st.sampled_from(["", "(", ")", ",", "^", "x", "+", "-", "*", " ", "Prod(", "\0", "é"]),
+    ),
+    st.text(max_size=40),
+)
+
+
+@given(_SPECS)
+@example("Prod(Zn(2), " * 3000 + "Zn(2)" + ")" * 3000)  # overflowed the parser's stack
+@example("Quot(" * 3000 + "Zn(2)" + ", x)" * 3000)  # likewise, before its base was checked
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_fuzzed_spec_ends_fast_with_a_documented_code(spec):
+    started = time.perf_counter()
+    try:
+        code = main(["info", spec, "--max-elements", "64"])
+    except SystemExit as exc:  # argparse, for a spec that reads as a flag
+        code = exc.code
+    assert time.perf_counter() - started < 2.0
+    assert code in (0, 2, 3)
