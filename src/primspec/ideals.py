@@ -7,10 +7,15 @@ lattice is the fixpoint of pairwise sums of principal ideals, which
 reaches every ideal of a finite ring.  Ids are assigned canonically:
 sorted by cardinality, then by the sorted member tuple, so id 0 is always
 the zero ideal and the last id the unit ideal.
+
+Once built, the lattice answers sums, products and generators as
+least-superset lookups: the ideal generated by a set is its least member
+containing that set (``_least_superset``, also the topology's closure).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 from .rings import CapExceededError, FiniteRing
@@ -35,6 +40,16 @@ def mask_of(indices) -> int:
 def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Sort key of the canonical order of bit-sets: cardinality, then members."""
     return mask.bit_count(), tuple(iter_bits(mask))
+
+
+def _least_superset(family: list[int], subset: int) -> int:
+    """Index of the least member of ``family`` (ascending by size, closed
+    under intersection, ending with the whole set) containing ``subset``."""
+    for i, member in enumerate(family):
+        if subset & ~member == 0:
+            return i
+    stray = list(itertools.islice(iter_bits(subset & ~family[-1]), 5))
+    raise ValueError(f"set has bits outside the largest member, lowest {stray}")
 
 
 def _principal_mask(ring: FiniteRing, g: int) -> int:
@@ -65,22 +80,6 @@ def _sum_mask(ring: FiniteRing, a: int, b: int) -> int:
     return out
 
 
-def _product_mask(ring: FiniteRing, a: int, b: int) -> int:
-    """IJ as the sum of the ideals x*J over x in I; their union is the set
-    of products."""
-    mul = ring.mul
-    out = 1  # zero ideal
-    bs = list(iter_bits(b))
-    for x in iter_bits(a):
-        row = mul[x]
-        xb = 0
-        for y in bs:
-            xb |= 1 << row[y]
-        if xb | out != out:
-            out = _sum_mask(ring, out, xb)
-    return out
-
-
 def _radical_mask(ring: FiniteRing, mask: int) -> int:
     power_masks = ring.power_masks()
     out = 0
@@ -103,7 +102,7 @@ class IdealLattice:
         self.prime = [self._is_prime(i) for i in range(len(self.masks))]
         self.maximal = [self._is_maximal(i) for i in range(len(self.masks))]
         self.primary = [self._is_primary(i) for i in range(len(self.masks))]
-        self._render_cache: dict[int, str] = {}
+        self._generators: dict[int, list[int]] = {self.zero_id: [0]}
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -162,10 +161,13 @@ class IdealLattice:
     # -- lattice operations ------------------------------------------------
 
     def sum_id(self, a: int, b: int) -> int:
-        return self.id_by_mask[_sum_mask(self.ring, self.mask(a), self.mask(b))]
+        return _least_superset(self.masks, self.mask(a) | self.mask(b))
 
     def product_id(self, a: int, b: int) -> int:
-        return self.id_by_mask[_product_mask(self.ring, self.mask(a), self.mask(b))]
+        """IJ is generated by the products gh of generators g of I, h of J."""
+        mul, hs = self.ring.mul, self.generators(b)
+        products = mask_of(mul[g][h] for g in self.generators(a) for h in hs)
+        return _least_superset(self.masks, products)
 
     def intersection_id(self, a: int, b: int) -> int:
         return self.id_by_mask[self.mask(a) & self.mask(b)]
@@ -184,30 +186,31 @@ class IdealLattice:
 
     def generators(self, ideal_id: int) -> list[int]:
         """A small (greedily pruned) generating set of element indices."""
-        mask = self.mask(ideal_id)
-        if ideal_id == self.zero_id:
-            return [0]
+        if ideal_id not in self._generators:
+            self._generators[ideal_id] = self._find_generators(ideal_id)
+        return self._generators[ideal_id]
+
+    def _find_generators(self, ideal_id: int) -> list[int]:
+        masks = self.masks
+        mask = masks[ideal_id]
         for g in iter_bits(mask):
-            if g and _principal_mask(self.ring, g) == mask:
+            if g and _least_superset(masks, 1 << g) == ideal_id:
                 return [g]
         gens: list[int] = []
         current = 1
         for g in iter_bits(mask):
             if not (current >> g) & 1:
                 gens.append(g)
-                current = _sum_mask(self.ring, current, _principal_mask(self.ring, g))
+                current = masks[_least_superset(masks, current | 1 << g)]
         for g in list(gens):
             rest = [h for h in gens if h != g]
-            if ideal_generated_by(self.ring, rest) == mask:
+            if _least_superset(masks, mask_of(rest)) == ideal_id:
                 gens = rest
         return gens
 
     def render(self, ideal_id: int) -> str:
-        if ideal_id not in self._render_cache:
-            names = self.ring.element_names
-            gens = self.generators(ideal_id)
-            self._render_cache[ideal_id] = "(" + ", ".join(names[g] for g in gens) + ")"
-        return self._render_cache[ideal_id]
+        names = self.ring.element_names
+        return "(" + ", ".join(names[g] for g in self.generators(ideal_id)) + ")"
 
 
 def enumerate_ideals(ring: FiniteRing, max_ideals: int = DEFAULT_IDEAL_CAP) -> IdealLattice:

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 from .zsymbolic import is_probable_prime
 
 DEFAULT_ELEMENT_CAP = 1024
+# a chain of this many Prods has more than 2^64 elements; deeper nesting is
+# rejected whatever the cap, so every recursion over a spec stays shallow
+MAX_PROD_DEPTH = 64
 
 
 class RingSpecError(ValueError):
@@ -282,6 +285,8 @@ class _Parser:
             # every factor has at least 2 elements, so a chain of depth + 1
             # Prods has at least 2^(depth + 2): the nesting is bounded by the cap
             self._check_power_cap(2, depth + 2)
+            if depth >= MAX_PROD_DEPTH:
+                self.error(f"Prod nested deeper than {MAX_PROD_DEPTH}")
             self.expect("(")
             left = self.parse_expr(depth + 1)
             self.expect(",")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import canonical_key, iter_bits
+from .ideals import _least_superset, canonical_key, iter_bits
 
 
 class TopologyAxiomError(RuntimeError):
@@ -56,9 +56,7 @@ class FiniteTopology:
 
     def closure(self, subset: int) -> int:
         """Smallest closed superset, from the closed family alone."""
-        # closed_sets ascend by size and the family is closed under
-        # intersection, so the first closed superset is the smallest one
-        return next(c for c in self.closed_sets if subset & ~c == 0)
+        return self.closed_sets[_least_superset(self.closed_sets, subset)]
 
     def point_closures(self) -> list[int]:
         if self._closures is None:

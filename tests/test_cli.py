@@ -159,6 +159,26 @@ def test_long_coefficient_reduced_exactly(capsys, coefficient, char, canonical):
     assert out.startswith(f"spec: {canonical}\n")
 
 
+@pytest.mark.parametrize("depth", [2000, 980], ids=["overflowed-parser", "overflowed-str"])
+def test_deep_prod_nesting_rejected_under_huge_cap(capsys, depth):
+    # with a cap of 2^1000 the cap bound admits about 998 levels, which
+    # once overflowed the parser's stack (2000) or str(spec) (980)
+    spec = "Prod(Zn(2), " * depth + "Zn(2)" + ")" * depth
+    started = time.perf_counter()
+    code, out, err = run(capsys, "info", spec, "--max-elements", str(2**1000))
+    assert time.perf_counter() - started < 2.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: Prod nested deeper than 64") and err.count("\n") == 1
+
+
+def test_prod_nesting_bound_is_64():
+    # parsed only: a ring this large is never built
+    spec = "Prod(Zn(2), " * 64 + "Zn(2)" + ")" * 64
+    assert str(parse_ring_spec(spec, 2**1000)) == spec
+    with pytest.raises(RingSpecError, match="Prod nested deeper than 64"):
+        parse_ring_spec("Prod(Zn(2), " + spec + ")", 2**1000)
+
+
 @pytest.mark.parametrize(
     "argv, code, is_json",
     [

@@ -7,7 +7,15 @@ from collections import deque
 import pytest
 
 from primspec.corpus import DEFAULT_CORPUS
-from primspec.ideals import enumerate_ideals, ideal_generated_by, iter_bits, mask_of
+from primspec.ideals import (
+    _least_superset,
+    _principal_mask,
+    _sum_mask,
+    enumerate_ideals,
+    ideal_generated_by,
+    iter_bits,
+    mask_of,
+)
 from primspec.rings import CapExceededError, build_ring, parse_ring_spec, unit_and_nilpotent_flags
 
 
@@ -210,6 +218,11 @@ def _closure_fixpoint(ring):
     return masks
 
 
+def _generated(lattice, gens):
+    """The lattice's ideal generated by ``gens``: its least member above them."""
+    return lattice.mask(_least_superset(lattice.masks, mask_of(gens)))
+
+
 # every default-corpus ring, plus a Quot with non-principal ideals (every
 # corpus ring is a principal ideal ring), a GF(p^k) beyond the corpus and a
 # nested Prod
@@ -219,8 +232,31 @@ DIFFERENTIAL_RINGS = list(DEFAULT_CORPUS) + [
     "Prod(GF(2), Prod(Zn(4), GF(3)))",
 ]
 
+# the rings of the benchmark's two pools, as literals
+POOL_RINGS = [
+    "Zn(64)",
+    "Zn(72)",
+    "Zn(81)",
+    "Zn(125)",
+    "Zn(128)",
+    "Quot(Zn(8), x^2+x+1)",
+    "Quot(Zn(4), x^3+x+1)",
+    "Quot(Zn(9), x^2+1)",
+    "GF(2^6)",
+    "GF(3^4)",
+    "Prod(GF(2), Prod(GF(2), Prod(GF(2), Prod(GF(2), GF(2)))))",
+    "Prod(Zn(4), Prod(GF(2), Prod(GF(2), GF(2))))",
+    "Prod(Zn(6), Zn(6))",
+    "Prod(Zn(8), Prod(GF(2), GF(2)))",
+    "Prod(Zn(12), Zn(4))",
+    "Prod(Zn(4), Prod(Zn(4), Zn(4)))",
+    "Quot(Zn(4), x^3)",
+    "Prod(Quot(Zn(4), x^2), GF(2))",
+]
+LATTICE_RINGS = list(dict.fromkeys(DIFFERENTIAL_RINGS + POOL_RINGS))
 
-@pytest.mark.parametrize("text", DIFFERENTIAL_RINGS)
+
+@pytest.mark.parametrize("text", LATTICE_RINGS)
 def test_sums_of_principal_ideals_agree_with_closure_oracle(text):
     ring = _ring(text)
     lat = enumerate_ideals(ring)
@@ -231,13 +267,89 @@ def test_sums_of_principal_ideals_agree_with_closure_oracle(text):
     gen_sets = [[]] + [[g] for g in everything]
     gen_sets += [rng.sample(everything, rng.randint(2, min(4, ring.size))) for _ in range(20)]
     for gens in gen_sets:
-        assert ideal_generated_by(ring, gens) == _closure_of_products(
-            ring, everything, gens
-        ), gens
+        expected = _closure_of_products(ring, everything, gens)
+        assert ideal_generated_by(ring, gens) == expected, gens
+        assert _generated(lat, gens) == expected, gens
 
     for i, j in itertools.product(range(len(lat)), repeat=2):
         expected = _closure_of_products(ring, iter_bits(lat.mask(i)), list(iter_bits(lat.mask(j))))
         assert lat.mask(lat.product_id(i, j)) == expected, (lat.render(i), lat.render(j))
+        expected = _additive_closure(ring, lat.mask(i) | lat.mask(j))
+        assert lat.mask(lat.sum_id(i, j)) == expected, (lat.render(i), lat.render(j))
+
+
+def _product_mask(ring, a, b):
+    """IJ as the sum of the ideals x*J over x in I; their union is the set
+    of products."""
+    mul = ring.mul
+    out = 1  # zero ideal
+    bs = list(iter_bits(b))
+    for x in iter_bits(a):
+        row = mul[x]
+        xb = 0
+        for y in bs:
+            xb |= 1 << row[y]
+        if xb | out != out:
+            out = _sum_mask(ring, out, xb)
+    return out
+
+
+@pytest.mark.parametrize("text", LATTICE_RINGS)
+def test_lattice_lookups_agree_with_element_arithmetic(text):
+    """Sums, products and generated ideals read off the lattice agree with
+    the same operations computed from the ring tables."""
+    ring = _ring(text)
+    lat = enumerate_ideals(ring)
+    for i, j in itertools.product(range(len(lat)), repeat=2):
+        a, b = lat.mask(i), lat.mask(j)
+        assert lat.mask(lat.sum_id(i, j)) == _sum_mask(ring, a, b), (i, j)
+        assert lat.mask(lat.product_id(i, j)) == _product_mask(ring, a, b), (i, j)
+    for g in range(ring.size):
+        assert _generated(lat, [g]) == ideal_generated_by(ring, [g]), g
+        for h in range(g + 1, ring.size):
+            assert _generated(lat, [g, h]) == ideal_generated_by(ring, [g, h]), (g, h)
+
+
+def _generators_by_elements(lattice, ideal_id):
+    """The generating set ``IdealLattice.generators`` returns, computed from
+    the ring tables: the first single generator, else the greedy set pruned."""
+    ring = lattice.ring
+    mask = lattice.mask(ideal_id)
+    if ideal_id == lattice.zero_id:
+        return [0]
+    for g in iter_bits(mask):
+        if g and _principal_mask(ring, g) == mask:
+            return [g]
+    gens = []
+    current = 1
+    for g in iter_bits(mask):
+        if not (current >> g) & 1:
+            gens.append(g)
+            current = _sum_mask(ring, current, _principal_mask(ring, g))
+    for g in list(gens):
+        rest = [h for h in gens if h != g]
+        if ideal_generated_by(ring, rest) == mask:
+            gens = rest
+    return gens
+
+
+@pytest.mark.parametrize(
+    "text",
+    list(
+        dict.fromkeys(
+            list(DEFAULT_CORPUS)
+            + POOL_RINGS
+            + ["Quot(Zn(4), x^4)", "Quot(Zn(16), x^2)", "Prod(Zn(16), Zn(16))"]
+            # the only rings here where pruning drops a greedy generator
+            + ["Quot(Zn(8), x^3+4)", "Quot(Zn(8), x^3+2x)"]
+        )
+    ),
+)
+def test_generators_agree_with_element_level_oracle(text):
+    # every rendered ideal label is built from these lists
+    lat = _lattice(text)
+    for i in range(len(lat)):
+        assert lat.generators(i) == _generators_by_elements(lat, i), lat.render(i)
 
 
 def test_product_is_a_sum_of_multiples_not_their_union():

@@ -98,6 +98,12 @@ def test_closure_examples():
     ring6, lat6, prim6 = _setup("Zn(6)")
     single = 1 << _pos(prim6, [0, 2, 4])
     assert prim6.closure(single) == single
+    # a set past the last point (Zn(12) has three) names its stray bits
+    _, _, prim12 = _setup("Zn(12)")
+    with pytest.raises(ValueError, match=r"lowest \[99\]"):
+        prim12.closure(1 << 99)
+    with pytest.raises(ValueError, match=r"lowest \[3, 40\]"):
+        prim12.closure(0b11 | 1 << 3 | 1 << 40)
 
 
 def test_is_base():
