@@ -3,10 +3,20 @@
 Ideals are bit-sets over element indices.  Every ideal is built as a sum
 of principal ideals: in a ring with 1, R*g is already an ideal and I + J
 is one too, so no additive closure is ever computed.  The complete
-lattice is the fixpoint of pairwise sums of principal ideals, which
-reaches every ideal of a finite ring.  Ids are assigned canonically:
-sorted by cardinality, then by the sorted member tuple, so id 0 is always
-the zero ideal and the last id the unit ideal.
+lattice is a breadth-first search from the zero ideal that adds one
+distinct principal ideal at a time; every ideal of a finite ring is a
+finite sum of principal ideals, so the search reaches all of them.  A sum
+I + J walks cosets: it starts from the larger ideal and adds one coset
+I + y for each y of the other not yet covered, so it costs the size of
+I + J in lookups.  Ids are assigned canonically: sorted by cardinality,
+then by the sorted member tuple, so id 0 is always the zero ideal and the
+last id the unit ideal.
+
+Whether rs lies in I depends only on r and s mod I, and rad(I) is a union
+of I-cosets, so the primary test of I scans pairs of coset
+representatives of R/I rather than pairs of elements, and only cosets of
+non-units, since a coset holding a unit never fails the test.  A prime
+ideal is a primary ideal that is its own radical.
 
 Once built, the lattice answers sums, products and generators as
 least-superset lookups: the ideal generated by a set is its least member
@@ -42,21 +52,23 @@ def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return mask.bit_count(), tuple(iter_bits(mask))
 
 
-def _least_superset(family: list[int], subset: int) -> int:
+def _least_superset(family: list[int], subset: int, start: int = 0) -> int:
     """Index of the least member of ``family`` (ascending by size, closed
-    under intersection, ending with the whole set) containing ``subset``."""
-    for i, member in enumerate(family):
-        if subset & ~member == 0:
+    under intersection, ending with the whole set) containing ``subset``,
+    searched from index ``start``, below which no member may contain it."""
+    for i in range(start, len(family)):
+        if subset & ~family[i] == 0:
             return i
     stray = list(itertools.islice(iter_bits(subset & ~family[-1]), 5))
     raise ValueError(f"set has bits outside the largest member, lowest {stray}")
 
 
 def _principal_mask(ring: FiniteRing, g: int) -> int:
-    """The principal ideal R*g, which is closed under + because R has 1."""
+    """The principal ideal R*g, which is closed under + because R has 1;
+    R is commutative, so it is the set of entries of the row mul[g]."""
     mask = 0
-    for r in range(ring.size):
-        mask |= 1 << ring.mul[r][g]
+    for x in set(ring.mul[g]):
+        mask |= 1 << x
     return mask
 
 
@@ -69,14 +81,35 @@ def ideal_generated_by(ring: FiniteRing, gens) -> int:
     return mask
 
 
-def _sum_mask(ring: FiniteRing, a: int, b: int) -> int:
+def _cosets(ring: FiniteRing, a: int, b: int):
+    """Yield (y, mask) for each coset y + a other than a that meets ``b``,
+    y its least element in ``b``; ``a`` is an additive subgroup, and each
+    coset costs |a| lookups."""
+    left = b & ~a
+    if not left:
+        return
     add = ring.add
-    out = 0
-    bs = list(iter_bits(b))
-    for x in iter_bits(a):
-        row = add[x]
-        for y in bs:
-            out |= 1 << row[y]
+    xs = list(iter_bits(a))
+    while left:
+        y = (left & -left).bit_length() - 1
+        row = add[y]
+        coset = 0
+        for x in xs:
+            coset |= 1 << row[x]
+        yield y, coset
+        left &= ~coset
+
+
+def _sum_mask(ring: FiniteRing, a: int, b: int) -> int:
+    """The set {x + y : x in a, y in b}, as the union of the cosets of the
+    larger argument that meet the other, so the cost is the size of the
+    result in lookups.  Precondition: the larger argument is an additive
+    subgroup and the other contains 0 (two ideals do)."""
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
+    out = a
+    for _, coset in _cosets(ring, a, b):
+        out |= coset
     return out
 
 
@@ -99,9 +132,16 @@ class IdealLattice:
         full = (1 << ring.size) - 1
         self.proper = [m != full for m in self.masks]
         self.radical_ids = [self.id_by_mask[_radical_mask(ring, m)] for m in self.masks]
-        self.prime = [self._is_prime(i) for i in range(len(self.masks))]
         self.maximal = [self._is_maximal(i) for i in range(len(self.masks))]
-        self.primary = [self._is_primary(i) for i in range(len(self.masks))]
+        non_units = 0
+        for m, flag in zip(self.masks, self.maximal):
+            if flag:
+                non_units |= m
+        self.primary = [self._is_primary(i, non_units) for i in range(len(self.masks))]
+        # a prime ideal is a primary ideal that is its own radical
+        self.prime = [
+            self.primary[i] and self.radical_ids[i] == i for i in range(len(self.masks))
+        ]
         self._generators: dict[int, list[int]] = {self.zero_id: [0]}
 
     def __len__(self) -> int:
@@ -121,19 +161,6 @@ class IdealLattice:
     def id_of(self, mask: int) -> int:
         return self.id_by_mask[mask]
 
-    def _is_prime(self, i: int) -> bool:
-        if not self.proper[i]:
-            return False
-        mask = self.masks[i]
-        mul = self.ring.mul
-        outside = [x for x in range(self.ring.size) if not (mask >> x) & 1]
-        for r in outside:
-            row = mul[r]
-            for s in outside:
-                if (mask >> row[s]) & 1:
-                    return False
-        return True
-
     def _is_maximal(self, i: int) -> bool:
         if not self.proper[i]:
             return False
@@ -143,15 +170,22 @@ class IdealLattice:
                 return False
         return True
 
-    def _is_primary(self, i: int) -> bool:
+    def _is_primary(self, i: int, non_units: int) -> bool:
+        """Whether rs in Q, r outside Q, forces s into rad(Q).
+
+        That depends only on r and s mod Q, and rad(Q) is a union of cosets,
+        so the scan runs over the least element of each non-zero coset of
+        R/Q.  A coset holding a unit u never fails (us in Q puts s in Q), so
+        only cosets inside ``non_units`` (the union of the maximal ideals)
+        are scanned."""
         if not self.proper[i]:
             return False
         mask = self.masks[i]
         rad = self.masks[self.radical_ids[i]]
         mul = self.ring.mul
-        outside_q = [x for x in range(self.ring.size) if not (mask >> x) & 1]
-        outside_rad = [x for x in range(self.ring.size) if not (rad >> x) & 1]
-        for r in outside_q:
+        reps = [y for y, coset in _cosets(self.ring, mask, non_units) if coset & ~non_units == 0]
+        outside_rad = [s for s in reps if not (rad >> s) & 1]
+        for r in reps:
             row = mul[r]
             for s in outside_rad:
                 if (mask >> row[s]) & 1:
@@ -161,7 +195,7 @@ class IdealLattice:
     # -- lattice operations ------------------------------------------------
 
     def sum_id(self, a: int, b: int) -> int:
-        return _least_superset(self.masks, self.mask(a) | self.mask(b))
+        return _least_superset(self.masks, self.mask(a) | self.mask(b), max(a, b))
 
     def product_id(self, a: int, b: int) -> int:
         """IJ is generated by the products gh of generators g of I, h of J."""
@@ -214,7 +248,8 @@ class IdealLattice:
 
 
 def enumerate_ideals(ring: FiniteRing, max_ideals: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
-    """Complete ideal lattice: fixpoint of pairwise sums of principal ideals."""
+    """Complete ideal lattice: a breadth-first search from the zero ideal,
+    adding each distinct principal ideal not already inside."""
     masks: set[int] = set()
 
     def register(mask: int) -> bool:
@@ -227,14 +262,15 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = DEFAULT_IDEAL_CAP) -> I
         masks.add(mask)
         return True
 
-    for g in range(ring.size):
-        register(_principal_mask(ring, g))
-    queue = deque(masks)
+    principals = {_principal_mask(ring, g) for g in range(ring.size)}
+    register(1)
+    queue = deque([1])
     while queue:
         m = queue.popleft()
-        for other in list(masks):
-            s = _sum_mask(ring, m, other)
-            if register(s):
-                queue.append(s)
+        for p in principals:
+            if p & ~m:
+                s = _sum_mask(ring, m, p)
+                if register(s):
+                    queue.append(s)
     return IdealLattice(ring, list(masks))
 

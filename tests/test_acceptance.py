@@ -312,3 +312,16 @@ def test_criterion_13_export_quotient_at_the_cap(capsys):
     assert len(report["ideals"]) == 2
     assert all(entry["pass"] for entry in report["theorems"])
     _verdict(13, "GF(2^10) exported within 10 s, every law passing")
+
+
+def test_criterion_14_export_local_quotient_at_the_cap(capsys):
+    # a 1024-element local ring that is not a W-ring, with 37 ideals, not
+    # all principal, exported within 5 s
+    with _timed(5.0):
+        assert main(["export", "Quot(Zn(4), x^5)"]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert report["elements"] == 1024
+    assert len(report["ideals"]) == 37
+    assert report["classification"]["is_w_ring"] is False
+    assert all(entry["pass"] for entry in report["theorems"])
+    _verdict(14, "Quot(Zn(4), x^5) exported within 5 s, every law passing")

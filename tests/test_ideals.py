@@ -278,6 +278,33 @@ def test_sums_of_principal_ideals_agree_with_closure_oracle(text):
         assert lat.mask(lat.sum_id(i, j)) == expected, (lat.render(i), lat.render(j))
 
 
+def _pairwise_sum_mask(ring, a, b):
+    """Slow oracle: the set {x + y : x in a, y in b}, one lookup per pair."""
+    add = ring.add
+    out = 0
+    bs = list(iter_bits(b))
+    for x in iter_bits(a):
+        row = add[x]
+        for y in bs:
+            out |= 1 << row[y]
+    return out
+
+
+def _column_principal_mask(ring, g):
+    """Slow oracle: R*g as the column {r*g : r in R} of the product table."""
+    return mask_of(ring.mul[r][g] for r in range(ring.size))
+
+
+@pytest.mark.parametrize("text", LATTICE_RINGS)
+def test_coset_walk_sum_agrees_with_pairwise_sum(text):
+    ring = _ring(text)
+    masks = enumerate_ideals(ring).masks
+    for a, b in itertools.product(masks, repeat=2):
+        assert _sum_mask(ring, a, b) == _pairwise_sum_mask(ring, a, b)
+    for g in range(ring.size):
+        assert _principal_mask(ring, g) == _column_principal_mask(ring, g), g
+
+
 def _product_mask(ring, a, b):
     """IJ as the sum of the ideals x*J over x in I; their union is the set
     of products."""
@@ -290,7 +317,7 @@ def _product_mask(ring, a, b):
         for y in bs:
             xb |= 1 << row[y]
         if xb | out != out:
-            out = _sum_mask(ring, out, xb)
+            out = _pairwise_sum_mask(ring, out, xb)
     return out
 
 
@@ -302,12 +329,20 @@ def test_lattice_lookups_agree_with_element_arithmetic(text):
     lat = enumerate_ideals(ring)
     for i, j in itertools.product(range(len(lat)), repeat=2):
         a, b = lat.mask(i), lat.mask(j)
-        assert lat.mask(lat.sum_id(i, j)) == _sum_mask(ring, a, b), (i, j)
+        assert lat.mask(lat.sum_id(i, j)) == _pairwise_sum_mask(ring, a, b), (i, j)
         assert lat.mask(lat.product_id(i, j)) == _product_mask(ring, a, b), (i, j)
     for g in range(ring.size):
         assert _generated(lat, [g]) == ideal_generated_by(ring, [g]), g
         for h in range(g + 1, ring.size):
             assert _generated(lat, [g, h]) == ideal_generated_by(ring, [g, h]), (g, h)
+
+
+def _pairwise_generated(ring, gens):
+    """Slow oracle: the sum of the principal ideals of ``gens``."""
+    mask = 1
+    for g in gens:
+        mask = _pairwise_sum_mask(ring, mask, _column_principal_mask(ring, g))
+    return mask
 
 
 def _generators_by_elements(lattice, ideal_id):
@@ -318,17 +353,17 @@ def _generators_by_elements(lattice, ideal_id):
     if ideal_id == lattice.zero_id:
         return [0]
     for g in iter_bits(mask):
-        if g and _principal_mask(ring, g) == mask:
+        if g and _column_principal_mask(ring, g) == mask:
             return [g]
     gens = []
     current = 1
     for g in iter_bits(mask):
         if not (current >> g) & 1:
             gens.append(g)
-            current = _sum_mask(ring, current, _principal_mask(ring, g))
+            current = _pairwise_sum_mask(ring, current, _column_principal_mask(ring, g))
     for g in list(gens):
         rest = [h for h in gens if h != g]
-        if ideal_generated_by(ring, rest) == mask:
+        if _pairwise_generated(ring, rest) == mask:
             gens = rest
     return gens
 
@@ -365,3 +400,46 @@ def test_product_is_a_sum_of_multiples_not_their_union():
     assert products != expected
     assert expected == ideal_generated_by(ring, [index("4"), index("2x"), index("x^2")])
     assert lat.mask(lat.product_id(m, m)) == expected
+
+
+def _is_prime_by_elements(lattice, i):
+    """Slow oracle: I proper, and no two elements outside I multiply into I."""
+    ring, mask = lattice.ring, lattice.mask(i)
+    if i == lattice.unit_id:
+        return False
+    outside = [x for x in range(ring.size) if not (mask >> x) & 1]
+    return not any((mask >> ring.mul[r][s]) & 1 for r in outside for s in outside)
+
+
+def _is_primary_by_elements(lattice, i):
+    """Slow oracle: Q proper, and rs in Q with r outside Q puts s in rad(Q)."""
+    ring, mask = lattice.ring, lattice.mask(i)
+    if i == lattice.unit_id:
+        return False
+    rad = lattice.mask(lattice.radical_id(i))
+    outside_q = [x for x in range(ring.size) if not (mask >> x) & 1]
+    outside_rad = [x for x in range(ring.size) if not (rad >> x) & 1]
+    return not any(
+        (mask >> ring.mul[r][s]) & 1 for r in outside_q for s in outside_rad
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    list(
+        dict.fromkeys(
+            LATTICE_RINGS
+            # local rings with many ideals that are not principal, where
+            # every proper ideal is primary and no coset is scanned
+            + ["Quot(Zn(4), x^4)", "Quot(Zn(16), x^2)"]
+            + ["Quot(Zn(8), x^3+4)", "Quot(Zn(8), x^3+2x)"]
+            # ideals that are neither principal nor primary
+            + ["Prod(Quot(Zn(4), x^3), GF(3))"]
+        )
+    ),
+)
+def test_prime_and_primary_flags_agree_with_element_pair_scans(text):
+    lat = _lattice(text)
+    for i in range(len(lat)):
+        assert lat.prime[i] == _is_prime_by_elements(lat, i), lat.render(i)
+        assert lat.primary[i] == _is_primary_by_elements(lat, i), lat.render(i)
