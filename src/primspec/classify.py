@@ -14,7 +14,6 @@ from .ideals import (
     DEFAULT_IDEAL_CAP,
     IdealLattice,
     enumerate_ideals,
-    ideal_generated_by,
     iter_bits,
     mask_of,
 )
@@ -142,7 +141,7 @@ def star_condition(
     Units have X_r equal to the whole space and are skipped.
     """
     ring = lattice.ring
-    opens = [spectrum.basic_open(r) for r in range(ring.size)]
+    opens = spectrum.basic_opens()
     full = spectrum.all_points()
     for r in range(ring.size):
         xr = opens[r]
@@ -213,11 +212,11 @@ def a_conditions(
         # once a^n lands in an ideal all later powers stay, so a uniform
         # exponent exists exactly when a per-ideal exponent exists for
         # every family member whose radical contains a
-        power_masks = ring.power_masks()
+        top = ring.top_powers()
         for a in range(ring.size):
             for i in family:
                 imask = lattice.mask(i)
-                if power_masks[a] & imask == 0:
+                if not (imask >> top[a]) & 1:
                     continue  # a outside the radical of I
                 cur = a
                 seen = set()
@@ -410,6 +409,17 @@ class TheoremReport:
         raise KeyError(entry_id)
 
 
+def _pair_witness(names: list[str], fails) -> str | None:
+    """"r=..., s=..." for the last pair of elements (r, s), in row-major
+    order, with ``fails(r, s)``; None when no pair fails."""
+    witness = None
+    for r in range(len(names)):
+        for s in range(len(names)):
+            if fails(r, s):
+                witness = f"r={names[r]}, s={names[s]}"
+    return witness
+
+
 def _law(report, entry_id, holds: bool, witness: str | None = None):
     report.entries.append(
         TheoremEntry(entry_id, THEOREM_CLAIMS[entry_id], True, holds, True, holds, witness)
@@ -462,9 +472,9 @@ def verify_theorems(
     n_ideals = len(lattice)
     all_pts = prim.all_points()
     varieties = [prim.variety(i) for i in range(n_ideals)]
-    x = [prim.basic_open(r) for r in range(ring.size)]
+    x = prim.basic_opens()
     sums = [[lattice.sum_id(i, j) for j in range(n_ideals)] for i in range(n_ideals)]
-    principal = [lattice.id_of(ideal_generated_by(ring, [r])) for r in range(ring.size)]
+    principal = lattice.principal_ids
     # unit/nilpotent side of the basic-open laws, from ring.mul alone
     flags = [unit_and_nilpotent_flags(ring, r) for r in range(ring.size)]
     names = ring.element_names
@@ -539,20 +549,21 @@ def verify_theorems(
         None if base_ok else f"open {list(iter_bits(base_witness))} is not a union of basics",
     )
 
-    holds, witness = True, None
-    principal_rads = [lattice.mask(lattice.radical_ids[p]) for p in principal]
-    for r in range(ring.size):
-        for s in range(ring.size):
-            if (x[r] == x[s]) != (principal_rads[r] == principal_rads[s]):
-                holds, witness = False, f"r={names[r]}, s={names[s]}"
-    _law(report, "basic-open-radical-test", holds, witness)
+    # the next two laws are decided by whole rows: the two partitions of the
+    # elements agree when pairing them adds no class, and row r of the
+    # product law is one list comparison; only a failure scans every pair,
+    # to name the last failing one
+    rads = [lattice.radical_ids[p] for p in principal]
+    witness = None
+    if not len(set(zip(x, rads))) == len(set(x)) == len(set(rads)):
+        witness = _pair_witness(names, lambda r, s: (x[r] == x[s]) != (rads[r] == rads[s]))
+    _law(report, "basic-open-radical-test", witness is None, witness)
 
-    holds, witness = True, None
-    for r in range(ring.size):
-        for s in range(ring.size):
-            if x[ring.mul[r][s]] != x[r] & x[s]:
-                holds, witness = False, f"r={names[r]}, s={names[s]}"
-    _law(report, "basic-open-product", holds, witness)
+    meets = {v: [v & w for w in x] for v in set(x)}
+    witness = None
+    if not all(list(map(x.__getitem__, row)) == meets[v] for row, v in zip(ring.mul, x)):
+        witness = _pair_witness(names, lambda r, s: x[ring.mul[r][s]] != x[r] & x[s])
+    _law(report, "basic-open-product", witness is None, witness)
 
     holds, witness = True, None
     for r in range(ring.size):

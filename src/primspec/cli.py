@@ -8,6 +8,7 @@ suite entry fails, 2 usage, validation or file error, 3 a cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -498,9 +499,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one:
+    each parse starts from a fresh namespace, so no call sees another's
+    flags."""
+    return build_arg_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except CapExceededError as exc:

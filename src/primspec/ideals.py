@@ -72,6 +72,13 @@ def _principal_mask(ring: FiniteRing, g: int) -> int:
     return mask
 
 
+def _principal_masks(ring: FiniteRing) -> list[int]:
+    """R*g for every element g; a row that holds 1 belongs to a unit, whose
+    principal ideal is R."""
+    full, one = (1 << ring.size) - 1, ring.one_index
+    return [full if one in row else _principal_mask(ring, g) for g, row in enumerate(ring.mul)]
+
+
 def ideal_generated_by(ring: FiniteRing, gens) -> int:
     """Mask of the smallest ideal containing ``gens`` (element indices)."""
     mask = 1  # zero ideal
@@ -114,10 +121,10 @@ def _sum_mask(ring: FiniteRing, a: int, b: int) -> int:
 
 
 def _radical_mask(ring: FiniteRing, mask: int) -> int:
-    power_masks = ring.power_masks()
+    """rad(I): the x whose top power x^N (``FiniteRing.top_powers``) is in I."""
     out = 0
-    for x in range(ring.size):
-        if power_masks[x] & mask:
+    for x, t in enumerate(ring.top_powers()):
+        if (mask >> t) & 1:
             out |= 1 << x
     return out
 
@@ -125,10 +132,16 @@ def _radical_mask(ring: FiniteRing, mask: int) -> int:
 class IdealLattice:
     """All ideals of a finite ring, with prime/maximal/primary flags."""
 
-    def __init__(self, ring: FiniteRing, masks: list[int]):
+    def __init__(self, ring: FiniteRing, masks: list[int], principals: list[int] | None = None):
+        """``principals``, if given, is R*g for every element g, as
+        ``_principal_masks`` computes it."""
         self.ring = ring
         self.masks = sorted(masks, key=canonical_key)
         self.id_by_mask = {m: i for i, m in enumerate(self.masks)}
+        if principals is None:
+            principals = _principal_masks(ring)
+        # the id of R*g for each element g
+        self.principal_ids = [self.id_by_mask[m] for m in principals]
         full = (1 << ring.size) - 1
         self.proper = [m != full for m in self.masks]
         self.radical_ids = [self.id_by_mask[_radical_mask(ring, m)] for m in self.masks]
@@ -262,15 +275,16 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = DEFAULT_IDEAL_CAP) -> I
         masks.add(mask)
         return True
 
-    principals = {_principal_mask(ring, g) for g in range(ring.size)}
+    principals = _principal_masks(ring)
+    distinct = set(principals)
     register(1)
     queue = deque([1])
     while queue:
         m = queue.popleft()
-        for p in principals:
+        for p in distinct:
             if p & ~m:
                 s = _sum_mask(ring, m, p)
                 if register(s):
                     queue.append(s)
-    return IdealLattice(ring, list(masks))
+    return IdealLattice(ring, list(masks), principals)
 

@@ -443,7 +443,7 @@ class FiniteRing:
         self.label = label
         self.element_names = element_names
         self.spec = spec
-        self._power_masks: list[int] | None = None
+        self._top_powers: list[int] | None = None
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.label}, size={self.size})"
@@ -470,18 +470,20 @@ class FiniteRing:
             c += 1
         return c
 
-    def power_masks(self) -> list[int]:
-        """For each element x, the bit-set of all powers x^k, k >= 1."""
-        if self._power_masks is None:
-            masks = []
-            for x in range(self.size):
-                mask, cur = 0, x
-                while not (mask >> cur) & 1:
-                    mask |= 1 << cur
-                    cur = self.mul[cur][x]
-                masks.append(mask)
-            self._power_masks = masks
-        return self._power_masks
+    def top_powers(self) -> list[int]:
+        """For each element x, x^N for N the least power of two >= size,
+        by squaring every element ceil(log2 size) times.
+
+        The powers of x repeat by x^(size + 1), so if some power of x lies
+        in an ideal I, one of exponent at most size does, and every later
+        power stays in I: x is in rad(I) exactly when x^N is in I."""
+        if self._top_powers is None:
+            mul = self.mul
+            top = list(range(self.size))
+            for _ in range((self.size - 1).bit_length()):
+                top = [mul[t][t] for t in top]
+            self._top_powers = top
+        return self._top_powers
 
 
 def element_arithmetic(ring: FiniteRing, op: str, *args: int) -> int:
@@ -505,8 +507,9 @@ def unit_and_nilpotent_flags(ring: FiniteRing, r: int) -> tuple[bool, bool, int 
     if not 0 <= r < ring.size:
         raise IndexError(f"element index {r} out of range")
     one = ring.one_index
-    row = ring.mul[r]
-    is_unit = any(row[s] == one for s in range(ring.size))
+    is_unit = one in ring.mul[r]
+    if is_unit and one != 0:
+        return True, False, None  # a unit of a non-zero ring is not nilpotent
     seen = set()
     cur, n = r, 1
     while cur not in seen:

@@ -41,6 +41,7 @@ class Spectrum:
         closed_index = {s: i for i, s in enumerate(self.closed_sets)}
         self.generating_ideals = [by_set[s] for s in self.closed_sets]
         self.variety_index_by_ideal = [closed_index[v] for v in varieties]
+        self._element_opens: list[int] | None = None
         self._basic_opens: list[int] | None = None
 
     # -- varieties -----------------------------------------------------------
@@ -62,7 +63,16 @@ class Spectrum:
 
     def basic_open(self, r: int) -> int:
         """Complement of the variety of a single element."""
-        return self.topology.full ^ self._variety_of_mask(1 << r)
+        return self.basic_opens()[r]
+
+    def basic_opens(self) -> list[int]:
+        """The basic open of every element, computed once."""
+        if self._element_opens is None:
+            full = self.topology.full
+            self._element_opens = [
+                full ^ self._variety_of_mask(1 << r) for r in range(self.lattice.ring.size)
+            ]
+        return self._element_opens
 
     def all_points(self) -> int:
         return self.topology.full
@@ -70,8 +80,7 @@ class Spectrum:
     def basic_open_family(self) -> list[int]:
         """Deduplicated basic opens, canonically ordered."""
         if self._basic_opens is None:
-            distinct = {self.basic_open(r) for r in range(self.lattice.ring.size)}
-            self._basic_opens = sorted(distinct, key=canonical_key)
+            self._basic_opens = sorted(set(self.basic_opens()), key=canonical_key)
         return self._basic_opens
 
     # -- topology ------------------------------------------------------------

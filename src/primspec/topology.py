@@ -125,16 +125,6 @@ def is_irreducible(
     return True, None
 
 
-def irreducible_open_characterization(t: FiniteTopology, subset: int | None = None) -> bool:
-    """Irreducibility via "any two nonempty relatively-open sets intersect"."""
-    space = t.full if subset is None else subset
-    if not space:
-        return False
-    rel_opens = [u & space for u in t.opens]
-    nonempty = [u for u in rel_opens if u]
-    return all(a & b for a in nonempty for b in nonempty)
-
-
 def irreducible_closed_with_generic_points(t: FiniteTopology) -> list[tuple[int, int]]:
     """Each irreducible member of the closed family with its generic points.
 

@@ -118,16 +118,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return sorted(factors.items())
 
 
-def radical_int(n: int) -> int:
-    """Product of the distinct prime divisors of |n| (1 for units)."""
-    if abs(n) == 1:
-        return 1
-    out = 1
-    for p, _ in factorize(n):
-        out *= p
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Primary ideals and varieties of Z
 

@@ -325,3 +325,18 @@ def test_criterion_14_export_local_quotient_at_the_cap(capsys):
     assert report["classification"]["is_w_ring"] is False
     assert all(entry["pass"] for entry in report["theorems"])
     _verdict(14, "Quot(Zn(4), x^5) exported within 5 s, every law passing")
+
+
+def test_criterion_15_export_at_the_cap_in_seconds(capsys):
+    # a 1024-element chain ring and a 729-element field, both exported
+    # within 5 s together
+    with _timed(5.0):
+        reports = {}
+        for text in ("Zn(1024)", "GF(3^6)"):
+            assert main(["export", text]) == 0
+            reports[text] = json.loads(capsys.readouterr().out)
+    assert [r["elements"] for r in reports.values()] == [1024, 729]
+    assert [len(r["ideals"]) for r in reports.values()] == [11, 2]
+    for report in reports.values():
+        assert all(entry["pass"] for entry in report["theorems"])
+    _verdict(15, "Zn(1024) and GF(3^6) exported within 5 s, every law passing")

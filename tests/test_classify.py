@@ -481,3 +481,54 @@ def test_report_entry_shape():
             assert e.passed
     with pytest.raises(KeyError):
         report.entry("no-such-entry")
+
+
+def _last_failing_pair(ring, fails):
+    """Scalar scan over every pair of elements: the witness string of the
+    last failing (r, s) in row-major order, or None."""
+    names, witness = ring.element_names, None
+    for r in range(ring.size):
+        for s in range(ring.size):
+            if fails(r, s):
+                witness = f"r={names[r]}, s={names[s]}"
+    return witness
+
+
+@pytest.mark.parametrize(
+    "r, corrupt",
+    [
+        (5, lambda v, full: 0),
+        (2, lambda v, full: full),
+        (3, lambda v, full: v ^ 1),
+        (4, lambda v, full: v),
+    ],
+    ids=["unit-emptied", "nilpotent-filled", "point-flipped", "intact"],
+)
+def test_row_wise_basic_open_laws_name_the_scalar_witness(monkeypatch, r, corrupt):
+    # one corrupted basic open of Zn(12) breaks both row-wise laws, and the
+    # report names the pair the scan over every pair names
+    a = analyze_ring("Zn(12)")
+    ring, lat = a.ring, a.lattice
+    original = Spectrum.basic_opens
+    opens = list(original(a.prim))
+    opens[r] = corrupt(opens[r], a.prim.all_points())
+    monkeypatch.setattr(
+        Spectrum, "basic_opens", lambda self: opens if self is a.prim else original(self)
+    )
+    rads = [
+        lat.mask(lat.radical_ids[lat.id_of(ideal_generated_by(ring, [g]))])
+        for g in range(ring.size)
+    ]
+    expected = {
+        "basic-open-radical-test": _last_failing_pair(
+            ring, lambda g, h: (opens[g] == opens[h]) != (rads[g] == rads[h])
+        ),
+        "basic-open-product": _last_failing_pair(
+            ring, lambda g, h: opens[ring.mul[g][h]] != opens[g] & opens[h]
+        ),
+    }
+    assert all(expected.values()) == (r != 4)
+    report = verify_theorems(a)
+    for entry_id, witness in expected.items():
+        entry = report.entry(entry_id)
+        assert (entry.passed, entry.witness) == (witness is None, witness), entry_id

@@ -1,16 +1,24 @@
 """CLI surface: commands, output formats, exit-code contract, corpus files."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primspec import cli
 from primspec.cli import main
 from primspec.corpus import DEFAULT_CORPUS, default_corpus, load_corpus, parse_corpus_lines
 from primspec.rings import RingSpecError, parse_ring_spec
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -179,20 +187,23 @@ def test_prod_nesting_bound_is_64():
         parse_ring_spec("Prod(Zn(2), " + spec + ")", 2**1000)
 
 
+GLOBAL_FLAG_CASES = [
+    (["--json", "info", "Zn(6)"], 0, True),
+    (["info", "Zn(6)", "--json"], 0, True),
+    (["info", "Zn(6)"], 0, False),
+    (["--json", "z", "v", "12"], 0, True),
+    (["z", "v", "12"], 0, False),
+    (["--max-elements", "4", "info", "Zn(6)"], 3, False),
+    (["info", "Zn(6)", "--max-elements", "4"], 3, False),
+    # given on both sides, the value after the subcommand wins
+    (["--max-elements", "4", "info", "Zn(6)", "--max-elements", "8"], 0, False),
+    (["--max-elements", "8", "info", "Zn(6)", "--max-elements", "4"], 3, False),
+]
+
+
 @pytest.mark.parametrize(
     "argv, code, is_json",
-    [
-        (["--json", "info", "Zn(6)"], 0, True),
-        (["info", "Zn(6)", "--json"], 0, True),
-        (["info", "Zn(6)"], 0, False),
-        (["--json", "z", "v", "12"], 0, True),
-        (["z", "v", "12"], 0, False),
-        (["--max-elements", "4", "info", "Zn(6)"], 3, False),
-        (["info", "Zn(6)", "--max-elements", "4"], 3, False),
-        # given on both sides, the value after the subcommand wins
-        (["--max-elements", "4", "info", "Zn(6)", "--max-elements", "8"], 0, False),
-        (["--max-elements", "8", "info", "Zn(6)", "--max-elements", "4"], 3, False),
-    ],
+    GLOBAL_FLAG_CASES,
     ids=[
         "json-before",
         "json-after",
@@ -210,6 +221,24 @@ def test_global_flags_before_or_after_subcommand(capsys, argv, code, is_json):
     assert got == code
     if code == 0:
         assert _is_json(out) == is_json
+
+
+def test_reused_parser_carries_no_flags_between_calls(capsys):
+    # the cases above, run in one process in both orders, so each call with
+    # a flag given before the subcommand is followed by one without it;
+    # every call must print what a fresh interpreter prints
+    cases = [argv for argv, _, _ in GLOBAL_FLAG_CASES]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    fresh = {}
+    for argv in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "primspec.cli", *argv], env=env, capture_output=True, text=True
+        )
+        fresh[tuple(argv)] = (done.returncode, done.stdout, done.stderr)
+    for order in (cases, cases[::-1]):
+        for argv in order:
+            assert run(capsys, *argv) == fresh[tuple(argv)], argv
+    assert cli._arg_parser() is cli._arg_parser()
 
 
 def _is_json(text):

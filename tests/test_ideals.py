@@ -8,6 +8,7 @@ import pytest
 
 from primspec.corpus import DEFAULT_CORPUS
 from primspec.ideals import (
+    IdealLattice,
     _least_superset,
     _principal_mask,
     _sum_mask,
@@ -16,7 +17,13 @@ from primspec.ideals import (
     iter_bits,
     mask_of,
 )
-from primspec.rings import CapExceededError, build_ring, parse_ring_spec, unit_and_nilpotent_flags
+from primspec.rings import (
+    CapExceededError,
+    FiniteRing,
+    build_ring,
+    parse_ring_spec,
+    unit_and_nilpotent_flags,
+)
 
 
 def _ring(text):
@@ -303,6 +310,70 @@ def test_coset_walk_sum_agrees_with_pairwise_sum(text):
         assert _sum_mask(ring, a, b) == _pairwise_sum_mask(ring, a, b)
     for g in range(ring.size):
         assert _principal_mask(ring, g) == _column_principal_mask(ring, g), g
+
+
+@pytest.mark.parametrize("text", LATTICE_RINGS)
+def test_principal_ids_agree_with_column_oracle(text):
+    ring = _ring(text)
+    lat = enumerate_ideals(ring)
+    for g in range(ring.size):
+        assert lat.mask(lat.principal_ids[g]) == _column_principal_mask(ring, g), g
+    # a lattice built from its masks alone gets the same ids
+    assert IdealLattice(ring, lat.masks).principal_ids == lat.principal_ids
+
+
+def _power_masks(ring):
+    """Slow oracle: for each element x, the bit-set of all powers x^k,
+    k >= 1, walked until they repeat."""
+    masks = []
+    for x in range(ring.size):
+        mask, cur = 0, x
+        while not (mask >> cur) & 1:
+            mask |= 1 << cur
+            cur = ring.mul[cur][x]
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("text", LATTICE_RINGS)
+def test_top_powers_decide_radicals_like_the_power_walk(text):
+    # x is in rad(I) exactly when some power of x lies in I
+    ring = _ring(text)
+    lat = enumerate_ideals(ring)
+    top, powers = ring.top_powers(), _power_masks(ring)
+    for i, mask in enumerate(lat.masks):
+        rad = mask_of(x for x in range(ring.size) if powers[x] & mask)
+        for x in range(ring.size):
+            assert (mask >> top[x]) & 1 == (rad >> x) & 1, (lat.render(i), ring.element_names[x])
+        assert lat.mask(lat.radical_ids[i]) == rad, lat.render(i)
+
+
+def _flags_by_definition(ring, r):
+    """Slow oracle: a unit has 1 somewhere in its product row; r is
+    nilpotent when its power walk reaches 0 before it repeats."""
+    one = ring.one_index
+    is_unit = any(ring.mul[r][s] == one for s in range(ring.size))
+    seen, cur, n = set(), r, 1
+    while cur not in seen:
+        if cur == 0:
+            return is_unit, True, n
+        seen.add(cur)
+        cur = ring.mul[cur][r]
+        n += 1
+    return is_unit, False, None
+
+
+@pytest.mark.parametrize("text", LATTICE_RINGS)
+def test_unit_and_nilpotent_flags_agree_with_definition(text):
+    ring = _ring(text)
+    for r in range(ring.size):
+        assert unit_and_nilpotent_flags(ring, r) == _flags_by_definition(ring, r), r
+
+
+def test_unit_and_nilpotent_flags_on_the_zero_ring():
+    # in the zero ring 0 = 1 is a unit and nilpotent at once
+    zero = FiniteRing(1, [[0]], [[0]], [0], 0, "0", ["0"])
+    assert unit_and_nilpotent_flags(zero, 0) == _flags_by_definition(zero, 0) == (True, True, 1)
 
 
 def _product_mask(ring, a, b):

@@ -13,7 +13,6 @@ from primspec.topology import (
     FiniteTopology,
     TopologyAxiomError,
     irreducible_closed_with_generic_points,
-    irreducible_open_characterization,
     is_irreducible,
     is_quasi_compact,
     is_sober,
@@ -28,6 +27,17 @@ SIERPINSKI = FiniteTopology(2, [0, 0b01, 0b11])
 DISCRETE2 = FiniteTopology(2, [0, 0b01, 0b10, 0b11])
 INDISCRETE3 = FiniteTopology(3, [0, 0b111])
 POINT = FiniteTopology(1, [0, 0b1])
+
+
+def irreducible_open_characterization(t: FiniteTopology, subset: int | None = None) -> bool:
+    """Oracle: irreducibility via "any two nonempty relatively-open sets
+    intersect"."""
+    space = t.full if subset is None else subset
+    if not space:
+        return False
+    rel_opens = [u & space for u in t.opens]
+    nonempty = [u for u in rel_opens if u]
+    return all(a & b for a in nonempty for b in nonempty)
 
 
 def _union(sets):

@@ -21,10 +21,19 @@ from primspec.zsymbolic import (
     factorize,
     is_probable_prime,
     prim_zxz_closure,
-    radical_int,
     v_rad_z,
     v_z,
 )
+
+
+def radical_int(n: int) -> int:
+    """Product of the distinct prime divisors of |n| (1 for units)."""
+    if abs(n) == 1:
+        return 1
+    out = 1
+    for p, _ in factorize(n):
+        out *= p
+    return out
 
 
 def _trial_division_primes(n):
