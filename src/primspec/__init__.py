@@ -17,11 +17,7 @@ from .classify import (  # noqa: F401
     star_condition,
     verify_theorems,
 )
-from .ideals import (  # noqa: F401
-    IdealLattice,
-    enumerate_ideals,
-    ideal_generated_by,
-)
+from .ideals import IdealLattice, enumerate_ideals  # noqa: F401
 from .rings import (  # noqa: F401
     CapExceededError,
     FiniteRing,
@@ -32,7 +28,6 @@ from .rings import (  # noqa: F401
     ZnSpec,
     build_ring,
     check_ring_axioms,
-    element_arithmetic,
     parse_ring_spec,
     unit_and_nilpotent_flags,
 )

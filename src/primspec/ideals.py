@@ -3,10 +3,12 @@
 Ideals are bit-sets over element indices.  Every ideal is built as a sum
 of principal ideals: in a ring with 1, R*g is already an ideal and I + J
 is one too, so no additive closure is ever computed.  The complete
-lattice is a breadth-first search from the zero ideal that adds one
-distinct principal ideal at a time; every ideal of a finite ring is a
-finite sum of principal ideals, so the search reaches all of them.  A sum
-I + J walks cosets: it starts from the larger ideal and adds one coset
+lattice is built in one pass over the distinct principal ideals, smallest
+first: one already in the lattice is a sum of smaller ones and is
+skipped, and each other one is added to every member found so far.  The
+principal ideals kept are the join-irreducible ideals, and every ideal of
+a finite ring is a finite sum of them, so the pass reaches all of them.
+A sum I + J walks cosets: it starts from the larger ideal and adds one coset
 I + y for each y of the other not yet covered, so it costs the size of
 I + J in lookups.  Ids are assigned canonically: sorted by cardinality,
 then by the sorted member tuple, so id 0 is always the zero ideal and the
@@ -21,12 +23,13 @@ ideal is a primary ideal that is its own radical.
 Once built, the lattice answers sums, products and generators as
 least-superset lookups: the ideal generated by a set is its least member
 containing that set (``_least_superset``, also the topology's closure).
+The least member containing one element g is R*g, kept as the element's
+principal id.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 
 from .rings import CapExceededError, FiniteRing
 
@@ -63,29 +66,12 @@ def _least_superset(family: list[int], subset: int, start: int = 0) -> int:
     raise ValueError(f"set has bits outside the largest member, lowest {stray}")
 
 
-def _principal_mask(ring: FiniteRing, g: int) -> int:
-    """The principal ideal R*g, which is closed under + because R has 1;
-    R is commutative, so it is the set of entries of the row mul[g]."""
-    mask = 0
-    for x in set(ring.mul[g]):
-        mask |= 1 << x
-    return mask
-
-
 def _principal_masks(ring: FiniteRing) -> list[int]:
-    """R*g for every element g; a row that holds 1 belongs to a unit, whose
-    principal ideal is R."""
+    """R*g for every element g.  R is commutative and has 1, so R*g is the
+    set of entries of the row mul[g], already closed under +; a row that
+    holds 1 belongs to a unit, whose principal ideal is R."""
     full, one = (1 << ring.size) - 1, ring.one_index
-    return [full if one in row else _principal_mask(ring, g) for g, row in enumerate(ring.mul)]
-
-
-def ideal_generated_by(ring: FiniteRing, gens) -> int:
-    """Mask of the smallest ideal containing ``gens`` (element indices)."""
-    mask = 1  # zero ideal
-    for g in gens:
-        if not (mask >> g) & 1:
-            mask = _sum_mask(ring, mask, _principal_mask(ring, g))
-    return mask
+    return [full if one in row else mask_of(set(row)) for row in ring.mul]
 
 
 def _cosets(ring: FiniteRing, a: int, b: int):
@@ -132,14 +118,12 @@ def _radical_mask(ring: FiniteRing, mask: int) -> int:
 class IdealLattice:
     """All ideals of a finite ring, with prime/maximal/primary flags."""
 
-    def __init__(self, ring: FiniteRing, masks: list[int], principals: list[int] | None = None):
-        """``principals``, if given, is R*g for every element g, as
-        ``_principal_masks`` computes it."""
+    def __init__(self, ring: FiniteRing, masks: list[int], principals: list[int]):
+        """``principals`` is R*g for every element g, as ``_principal_masks``
+        computes it."""
         self.ring = ring
         self.masks = sorted(masks, key=canonical_key)
         self.id_by_mask = {m: i for i, m in enumerate(self.masks)}
-        if principals is None:
-            principals = _principal_masks(ring)
         # the id of R*g for each element g
         self.principal_ids = [self.id_by_mask[m] for m in principals]
         full = (1 << ring.size) - 1
@@ -241,7 +225,7 @@ class IdealLattice:
         masks = self.masks
         mask = masks[ideal_id]
         for g in iter_bits(mask):
-            if g and _least_superset(masks, 1 << g) == ideal_id:
+            if g and self.principal_ids[g] == ideal_id:
                 return [g]
         gens: list[int] = []
         current = 1
@@ -261,30 +245,21 @@ class IdealLattice:
 
 
 def enumerate_ideals(ring: FiniteRing, max_ideals: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
-    """Complete ideal lattice: a breadth-first search from the zero ideal,
-    adding each distinct principal ideal not already inside."""
-    masks: set[int] = set()
-
-    def register(mask: int) -> bool:
-        if mask in masks:
-            return False
-        if len(masks) >= max_ideals:
-            raise CapExceededError(
-                f"ideal count exceeds cap {max_ideals} for {ring.label}"
-            )
-        masks.add(mask)
-        return True
-
+    """Complete ideal lattice, in one pass over the distinct principal
+    ideals by size.  One already a member is a sum of smaller ones; each
+    other p is added to every member found so far.  The members stay closed
+    under sums, as (m + p) + m' = (m + m') + p."""
     principals = _principal_masks(ring)
-    distinct = set(principals)
-    register(1)
-    queue = deque([1])
-    while queue:
-        m = queue.popleft()
-        for p in distinct:
-            if p & ~m:
-                s = _sum_mask(ring, m, p)
-                if register(s):
-                    queue.append(s)
+    masks = {1}  # the zero ideal
+    for p in sorted(set(principals), key=int.bit_count):
+        if p in masks:
+            continue
+        for m in list(masks):
+            s = _sum_mask(ring, m, p)
+            if s not in masks:
+                if len(masks) >= max_ideals:
+                    raise CapExceededError(
+                        f"ideal count exceeds cap {max_ideals} for {ring.label}"
+                    )
+                masks.add(s)
     return IdealLattice(ring, list(masks), principals)
-

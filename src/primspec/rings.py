@@ -486,22 +486,6 @@ class FiniteRing:
         return self._top_powers
 
 
-def element_arithmetic(ring: FiniteRing, op: str, *args: int) -> int:
-    """Dispatch add/mul/neg/pow on element indices."""
-    for index in args[: 2 if op != "pow" else 1]:
-        if not 0 <= index < ring.size:
-            raise IndexError(f"element index {index} out of range")
-    if op == "add":
-        return ring.add[args[0]][args[1]]
-    if op == "mul":
-        return ring.mul[args[0]][args[1]]
-    if op == "neg":
-        return ring.neg[args[0]]
-    if op == "pow":
-        return ring.pow(args[0], args[1])
-    raise ValueError(f"unknown element operation {op!r}")
-
-
 def unit_and_nilpotent_flags(ring: FiniteRing, r: int) -> tuple[bool, bool, int | None]:
     """(is_unit, is_nilpotent, least n with r^n = 0 or None)."""
     if not 0 <= r < ring.size:

@@ -16,7 +16,8 @@ from primspec.classify import (
     star_condition,
 )
 from primspec.cli import main
-from primspec.ideals import ideal_generated_by, mask_of
+from oracles import ideal_generated_by
+from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, parse_ring_spec
 from primspec.topology import is_supercompact
 from primspec.zsymbolic import (
@@ -340,3 +341,14 @@ def test_criterion_15_export_at_the_cap_in_seconds(capsys):
     for report in reports.values():
         assert all(entry["pass"] for entry in report["theorems"])
     _verdict(15, "Zn(1024) and GF(3^6) exported within 5 s, every law passing")
+
+
+def test_criterion_16_boolean_lattice_at_the_cap():
+    # GF(2)^10 has 1024 ideals, the most of any ring the default cap
+    # admits, and every one is principal; the lattice within 5 s
+    ring = build_ring(parse_ring_spec("Prod(GF(2), " * 9 + "GF(2)" + ")" * 9))
+    with _timed(5.0):
+        lat = enumerate_ideals(ring)
+    assert len(lat) == 1024
+    assert len(set(lat.principal_ids)) == 1024
+    _verdict(16, "GF(2)^10: all 1024 ideals enumerated within 5 s")

@@ -16,7 +16,8 @@ from primspec.classify import (
     star_condition,
     verify_theorems,
 )
-from primspec.ideals import enumerate_ideals, ideal_generated_by, mask_of
+from oracles import ideal_generated_by
+from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, parse_ring_spec
 from primspec.spectra import Spectrum
 

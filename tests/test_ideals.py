@@ -5,15 +5,15 @@ import random
 from collections import deque
 
 import pytest
+from oracles import ideal_generated_by
 
 from primspec.corpus import DEFAULT_CORPUS
 from primspec.ideals import (
     IdealLattice,
     _least_superset,
-    _principal_mask,
+    _principal_masks,
     _sum_mask,
     enumerate_ideals,
-    ideal_generated_by,
     iter_bits,
     mask_of,
 )
@@ -97,6 +97,23 @@ def test_ideal_cap():
     ring = _ring("Zn(30)")
     with pytest.raises(CapExceededError):
         enumerate_ideals(ring, max_ideals=3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Zn(128)",  # a chain
+        "Prod(GF(2), Prod(GF(2), Prod(GF(2), Prod(GF(2), GF(2)))))",
+        "Prod(Zn(4), Prod(Zn(4), Zn(4)))",
+        "Quot(Zn(4), x^3)",  # ideals that are not principal
+    ],
+)
+def test_ideal_cap_fires_exactly_above_the_lattice_size(text):
+    ring = _ring(text)
+    size = len(enumerate_ideals(ring))
+    assert len(enumerate_ideals(ring, max_ideals=size)) == size
+    with pytest.raises(CapExceededError):
+        enumerate_ideals(ring, max_ideals=size - 1)
 
 
 def test_arithmetic_examples():
@@ -308,8 +325,8 @@ def test_coset_walk_sum_agrees_with_pairwise_sum(text):
     masks = enumerate_ideals(ring).masks
     for a, b in itertools.product(masks, repeat=2):
         assert _sum_mask(ring, a, b) == _pairwise_sum_mask(ring, a, b)
-    for g in range(ring.size):
-        assert _principal_mask(ring, g) == _column_principal_mask(ring, g), g
+    for g, mask in enumerate(_principal_masks(ring)):
+        assert mask == _column_principal_mask(ring, g), g
 
 
 @pytest.mark.parametrize("text", LATTICE_RINGS)
@@ -318,8 +335,8 @@ def test_principal_ids_agree_with_column_oracle(text):
     lat = enumerate_ideals(ring)
     for g in range(ring.size):
         assert lat.mask(lat.principal_ids[g]) == _column_principal_mask(ring, g), g
-    # a lattice built from its masks alone gets the same ids
-    assert IdealLattice(ring, lat.masks).principal_ids == lat.principal_ids
+    # a lattice built from its masks and the principal masks gets the same ids
+    assert IdealLattice(ring, lat.masks, _principal_masks(ring)).principal_ids == lat.principal_ids
 
 
 def _power_masks(ring):

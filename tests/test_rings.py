@@ -18,7 +18,6 @@ from primspec.rings import (
     _poly_element_name,
     build_ring,
     check_ring_axioms,
-    element_arithmetic,
     find_irreducible_poly,
     parse_ring_spec,
     prime_power,
@@ -205,21 +204,17 @@ def test_prod_z2_z3_isomorphic_to_z6():
 
 def test_element_arithmetic_examples():
     r8 = build_ring(parse_ring_spec("Zn(8)"))
-    assert element_arithmetic(r8, "pow", 2, 3) == 0
+    assert r8.pow(2, 3) == 0
     r12 = build_ring(parse_ring_spec("Zn(12)"))
-    assert element_arithmetic(r12, "mul", 4, 3) == 0
+    assert r12.mul[4][3] == 0
     gr = build_ring(parse_ring_spec("Quot(Zn(4), x^2+x+1)"))
-    assert element_arithmetic(gr, "pow", 2, 2) == 0
-    assert element_arithmetic(r8, "add", 5, 6) == 3
-    assert element_arithmetic(r8, "neg", 3) == 5
+    assert gr.pow(2, 2) == 0
+    assert r8.add[5][6] == 3
+    assert r8.neg[3] == 5
     with pytest.raises(ValueError):
         r8.pow(2, 0)
     with pytest.raises(IndexError):
         r8.pow(9, 2)
-    with pytest.raises(IndexError):
-        element_arithmetic(r8, "mul", 2, 11)
-    with pytest.raises(ValueError):
-        element_arithmetic(r8, "div", 2, 3)
 
 
 def test_quotient_arithmetic_against_residue_oracle():

@@ -6,7 +6,8 @@ import itertools
 
 import pytest
 
-from primspec.ideals import enumerate_ideals, ideal_generated_by, mask_of
+from oracles import ideal_generated_by
+from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, parse_ring_spec, unit_and_nilpotent_flags
 from primspec.spectra import build_spectrum
 
