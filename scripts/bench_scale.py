@@ -26,7 +26,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-# a 1024-element ring of each constructor, a CRT split and GF(2)^7
+# a 1024-element ring of each constructor, a CRT split, and GF(2)^7 and
+# GF(2)^9, whose every ideal is principal (128 and 512 ideals)
 SCALE_CORPUS = [
     "Zn(1024)",
     "GF(2^10)",
@@ -34,6 +35,7 @@ SCALE_CORPUS = [
     "Prod(Zn(32), Zn(32))",
     "Zn(720)",
     "Prod(GF(2), " * 6 + "GF(2)" + ")" * 6,
+    "Prod(GF(2), " * 8 + "GF(2)" + ")" * 8,
 ]
 
 _EXPORT = "import sys; from primspec.cli import main; sys.exit(main(sys.argv[1:]))"

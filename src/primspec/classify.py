@@ -139,23 +139,26 @@ def star_condition(
     violating family is F(r) = {nonzero s : X_s does not contain X_r}; the
     property fails exactly when the union of F(r)'s basic opens covers X_r.
     Units have X_r equal to the whole space and are skipped.
+
+    F(r) and its union depend on X_r alone, so each distinct X_r is tested
+    once, in first-occurrence order, against the distinct X_s, s nonzero; a
+    failing X_r names its first element r and the members of F(r).
     """
     ring = lattice.ring
     opens = spectrum.basic_opens()
     full = spectrum.all_points()
-    for r in range(ring.size):
-        xr = opens[r]
+    others = list(dict.fromkeys(opens[1:]))
+    for xr in dict.fromkeys(opens):
         if not xr or xr == full:
             continue
         union = 0
-        family = []
-        for s in range(1, ring.size):
-            if xr & ~opens[s]:
-                union |= opens[s]
-                family.append(s)
+        for v in others:
+            if xr & ~v:
+                union |= v
         if xr & ~union == 0:
+            r = opens.index(xr)
             names = ring.element_names
-            shown = [names[s] for s in family if opens[s]]
+            shown = [names[s] for s in range(1, ring.size) if xr & ~opens[s] and opens[s]]
             return False, f"X_{names[r]} covered by basic opens of {shown}"
     return True, None
 
@@ -473,7 +476,8 @@ def verify_theorems(
     all_pts = prim.all_points()
     varieties = [prim.variety(i) for i in range(n_ideals)]
     x = prim.basic_opens()
-    sums = [[lattice.sum_id(i, j) for j in range(n_ideals)] for i in range(n_ideals)]
+    masks, id_by_mask = lattice.masks, lattice.id_by_mask
+    sums, products = lattice.sum_table(), lattice.product_table()
     principal = lattice.principal_ids
     # unit/nilpotent side of the basic-open laws, from ring.mul alone
     flags = [unit_and_nilpotent_flags(ring, r) for r in range(ring.size)]
@@ -487,26 +491,27 @@ def verify_theorems(
         and varieties[lattice.unit_id] == 0,
     )
 
-    holds, witness = True, None
-    for i in range(n_ideals):
-        for j in range(n_ideals):
-            union = varieties[i] | varieties[j]
-            if (
-                varieties[lattice.intersection_id(i, j)] != union
-                or varieties[lattice.product_id(i, j)] != union
-            ):
-                holds, witness = False, f"{lattice.render(i)}, {lattice.render(j)}"
-                break
-        if not holds:
+    # the next two laws compare whole rows; only a failing row is scanned,
+    # for its first (product law) or last (sum law) failing pair
+    witness = None
+    for i, (vi, mi) in enumerate(zip(varieties, masks)):
+        unions = [vi | vj for vj in varieties]
+        meets = [varieties[id_by_mask[mi & mj]] for mj in masks]
+        prods = [varieties[k] for k in products[i]]
+        if meets != unions or prods != unions:
+            j = next(j for j, u in enumerate(unions) if meets[j] != u or prods[j] != u)
+            witness = f"{lattice.render(i)}, {lattice.render(j)}"
             break
-    _law(report, "variety-product-union", holds, witness)
+    _law(report, "variety-product-union", witness is None, witness)
 
-    holds, witness = True, None
-    for i in range(n_ideals):
-        for j in range(n_ideals):
-            if varieties[sums[i][j]] != varieties[i] & varieties[j]:
-                holds, witness = False, f"{lattice.render(i)}, {lattice.render(j)}"
-    _law(report, "variety-sum-intersection", holds, witness)
+    witness = None
+    for i, vi in enumerate(varieties):
+        sides = [vi & vj for vj in varieties]
+        row = [varieties[k] for k in sums[i]]
+        if row != sides:
+            j = max(j for j in range(n_ideals) if row[j] != sides[j])
+            witness = f"{lattice.render(i)}, {lattice.render(j)}"
+    _law(report, "variety-sum-intersection", witness is None, witness)
 
     # every element set S, folded as (ideal generated by S, variety of S);
     # elements with the same principal ideal and variety move every state
@@ -523,10 +528,11 @@ def verify_theorems(
     witness = None if found is None else f"S={sorted(reps[pair] for pair in found)}"
     _law(report, "variety-generators", found is None, witness)
 
+    # i lies in j exactly when i + j is j
     holds, witness = True, None
-    for i in range(n_ideals):
-        for j in range(n_ideals):
-            if lattice.contains_ideal(i, j) and varieties[j] & ~varieties[i]:
+    for i, vi in enumerate(varieties):
+        for j, s in enumerate(sums[i]):
+            if s == j and varieties[j] & ~vi:
                 holds, witness = False, f"{lattice.render(i)} in {lattice.render(j)}"
     _law(report, "variety-antitone", holds, witness)
 

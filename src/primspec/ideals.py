@@ -20,16 +20,17 @@ representatives of R/I rather than pairs of elements, and only cosets of
 non-units, since a coset holding a unit never fails the test.  A prime
 ideal is a primary ideal that is its own radical.
 
-Once built, the lattice answers sums, products and generators as
-least-superset lookups: the ideal generated by a set is its least member
-containing that set (``_least_superset``, also the topology's closure).
-The least member containing one element g is R*g, kept as the element's
-principal id.
+The pass is kept as a sum tree: every member after the zero ideal was
+first made as m + p, m an earlier member and p a join-irreducible, and
+each p keeps the column of the sums m + p it made.  The lattice fills its
+sum and product tables from that tree, row by row in creation order, at
+one lookup per entry: a + (m + p) = (a + m) + p, and a(m + p) = am + ap,
+where ap is read off the row of p, itself filled from the principal ideals
+R*gh of the products of two generators.  Generating sets are folds over
+the sum table, through each element's principal id R*g.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .rings import CapExceededError, FiniteRing
 
@@ -53,17 +54,6 @@ def mask_of(indices) -> int:
 def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Sort key of the canonical order of bit-sets: cardinality, then members."""
     return mask.bit_count(), tuple(iter_bits(mask))
-
-
-def _least_superset(family: list[int], subset: int, start: int = 0) -> int:
-    """Index of the least member of ``family`` (ascending by size, closed
-    under intersection, ending with the whole set) containing ``subset``,
-    searched from index ``start``, below which no member may contain it."""
-    for i in range(start, len(family)):
-        if subset & ~family[i] == 0:
-            return i
-    stray = list(itertools.islice(iter_bits(subset & ~family[-1]), 5))
-    raise ValueError(f"set has bits outside the largest member, lowest {stray}")
 
 
 def _principal_masks(ring: FiniteRing) -> list[int]:
@@ -118,14 +108,39 @@ def _radical_mask(ring: FiniteRing, mask: int) -> int:
 class IdealLattice:
     """All ideals of a finite ring, with prime/maximal/primary flags."""
 
-    def __init__(self, ring: FiniteRing, masks: list[int], principals: list[int]):
-        """``principals`` is R*g for every element g, as ``_principal_masks``
+    def __init__(
+        self,
+        ring: FiniteRing,
+        masks: list[int],
+        principals: list[int],
+        parents: list[tuple[int, int]],
+        joins: list[tuple[int, list[int]]],
+    ):
+        """The sum tree ``enumerate_ideals`` records: ``masks`` are the
+        members in creation order, the zero ideal first; member k > 0 is
+        member m plus the t-th join-irreducible, for (m, t) = parents[k - 1];
+        joins[t] = (g, column), where R*g is the t-th join-irreducible and
+        column[m] is member m plus R*g for each member m made before it.
+        ``principals`` is R*g for every element g, as ``_principal_masks``
         computes it."""
         self.ring = ring
         self.masks = sorted(masks, key=canonical_key)
         self.id_by_mask = {m: i for i, m in enumerate(self.masks)}
         # the id of R*g for each element g
         self.principal_ids = [self.id_by_mask[m] for m in principals]
+        # the tree in lattice ids: (member, parent member, t) in creation
+        # order, and each join-irreducible's sums with every member
+        ids = [self.id_by_mask[m] for m in masks]
+        self._steps = [(ids[k], ids[m], t) for k, (m, t) in enumerate(parents, 1)]
+        self._join_gens = [g for g, _ in joins]
+        self._join_columns = []
+        for column in _join_columns(parents, joins):
+            by_id = [0] * len(ids)
+            for k, s in enumerate(column):
+                by_id[ids[k]] = ids[s]
+            self._join_columns.append(by_id)
+        self._sums: list[list[int]] | None = None
+        self._products: list[list[int]] | None = None
         full = (1 << ring.size) - 1
         self.proper = [m != full for m in self.masks]
         self.radical_ids = [self.id_by_mask[_radical_mask(ring, m)] for m in self.masks]
@@ -191,14 +206,42 @@ class IdealLattice:
 
     # -- lattice operations ------------------------------------------------
 
+    def _tree_row(self, start: int, columns: list[list[int]]) -> list[int]:
+        """The row of ids x with row[0] = start and, for each member k made
+        as m + p_t, row[k] = columns[t][row[m]], filled in creation order."""
+        row = [0] * len(self.masks)
+        row[0] = start
+        for k, m, t in self._steps:
+            row[k] = columns[t][row[m]]
+        return row
+
+    def sum_table(self) -> list[list[int]]:
+        """sums[a][b] is the id of a + b: row a starts at a and joins in one
+        join-irreducible per member, a + (m + p) = (a + m) + p."""
+        if self._sums is None:
+            self._sums = [self._tree_row(a, self._join_columns) for a in range(len(self))]
+        return self._sums
+
+    def product_table(self) -> list[list[int]]:
+        """products[a][b] is the id of ab, by a(m + p) = am + ap.  With
+        p = R*g, row p is filled the same way from (R*g)(R*h) = R*gh, and
+        ap is entry a of row p."""
+        if self._products is None:
+            sums, mul, principal = self.sum_table(), self.ring.mul, self.principal_ids
+            gens = self._join_gens
+            join_rows = [
+                self._tree_row(0, [sums[principal[mul[g][h]]] for h in gens]) for g in gens
+            ]
+            self._products = [
+                self._tree_row(0, [sums[row[a]] for row in join_rows]) for a in range(len(self))
+            ]
+        return self._products
+
     def sum_id(self, a: int, b: int) -> int:
-        return _least_superset(self.masks, self.mask(a) | self.mask(b), max(a, b))
+        return self.sum_table()[a][b]
 
     def product_id(self, a: int, b: int) -> int:
-        """IJ is generated by the products gh of generators g of I, h of J."""
-        mul, hs = self.ring.mul, self.generators(b)
-        products = mask_of(mul[g][h] for g in self.generators(a) for h in hs)
-        return _least_superset(self.masks, products)
+        return self.product_table()[a][b]
 
     def intersection_id(self, a: int, b: int) -> int:
         return self.id_by_mask[self.mask(a) & self.mask(b)]
@@ -222,20 +265,27 @@ class IdealLattice:
         return self._generators[ideal_id]
 
     def _find_generators(self, ideal_id: int) -> list[int]:
-        masks = self.masks
+        """The first single generator, else the elements the greedy walk
+        adds (each one outside the ideal generated so far), pruned of each
+        one the others still generate the ideal without; the ideal that a
+        set generates is the sum of the principal ideals of its members."""
+        masks, principal, sums = self.masks, self.principal_ids, self.sum_table()
         mask = masks[ideal_id]
         for g in iter_bits(mask):
-            if g and self.principal_ids[g] == ideal_id:
+            if g and principal[g] == ideal_id:
                 return [g]
         gens: list[int] = []
-        current = 1
+        current = self.zero_id
         for g in iter_bits(mask):
-            if not (current >> g) & 1:
+            if not (masks[current] >> g) & 1:
                 gens.append(g)
-                current = masks[_least_superset(masks, current | 1 << g)]
+                current = sums[current][principal[g]]
         for g in list(gens):
             rest = [h for h in gens if h != g]
-            if _least_superset(masks, mask_of(rest)) == ideal_id:
+            generated = self.zero_id
+            for h in rest:
+                generated = sums[generated][principal[h]]
+            if generated == ideal_id:
                 gens = rest
         return gens
 
@@ -248,18 +298,47 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = DEFAULT_IDEAL_CAP) -> I
     """Complete ideal lattice, in one pass over the distinct principal
     ideals by size.  One already a member is a sum of smaller ones; each
     other p is added to every member found so far.  The members stay closed
-    under sums, as (m + p) + m' = (m + m') + p."""
+    under sums, as (m + p) + m' = (m + m') + p.  Each new member s = m + p
+    records its parents (m, p), and each p the sums m + p it made: the sum
+    tree ``IdealLattice`` reads its tables from."""
     principals = _principal_masks(ring)
-    masks = {1}  # the zero ideal
-    for p in sorted(set(principals), key=int.bit_count):
-        if p in masks:
+    masks = [1]  # the zero ideal, then the members in creation order
+    index = {1: 0}
+    parents: list[tuple[int, int]] = []
+    joins: list[tuple[int, list[int]]] = []
+    first_gen: dict[int, int] = {}
+    for g, p in enumerate(principals):
+        first_gen.setdefault(p, g)
+    for p in sorted(first_gen, key=int.bit_count):
+        if p in index:
             continue
-        for m in list(masks):
-            s = _sum_mask(ring, m, p)
-            if s not in masks:
+        column = []
+        for m in range(len(masks)):
+            s = _sum_mask(ring, masks[m], p)
+            k = index.get(s)
+            if k is None:
                 if len(masks) >= max_ideals:
                     raise CapExceededError(
                         f"ideal count exceeds cap {max_ideals} for {ring.label}"
                     )
-                masks.add(s)
-    return IdealLattice(ring, list(masks), principals)
+                k = index[s] = len(masks)
+                masks.append(s)
+                parents.append((m, len(joins)))
+            column.append(k)
+        joins.append((first_gen[p], column))
+    return IdealLattice(ring, masks, principals, parents, joins)
+
+
+def _join_columns(parents: list[tuple[int, int]], joins) -> list[list[int]]:
+    """Each join-irreducible's column m -> m + p over every member, in
+    creation indices.  A member k made after p was taken, as m + q, has
+    k + p = k when q is p, and else (m + p) + q, where m + p was already a
+    member when q was taken, so q's recorded column holds it."""
+    out = []
+    for t, (_, recorded) in enumerate(joins):
+        column = recorded[:]
+        for k in range(len(column), len(parents) + 1):
+            m, q = parents[k - 1]
+            column.append(k if q == t else joins[q][1][column[m]])
+        out.append(column)
+    return out

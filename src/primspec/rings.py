@@ -506,7 +506,9 @@ def unit_and_nilpotent_flags(ring: FiniteRing, r: int) -> tuple[bool, bool, int 
 
 
 def _build_zn_tables(n: int):
-    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    # row i of the addition table is 0, 1, ..., n - 1 rotated left by i
+    r = list(range(n))
+    add = [r[i:] + r[:i] for i in range(n)]
     mul = [[(i * j) % n for j in range(n)] for i in range(n)]
     neg = [(-i) % n for i in range(n)]
     return add, mul, neg
@@ -597,19 +599,22 @@ def _build_quotient(
     return FiniteRing(size, add, mul, neg, base.one_index, label, names, spec)
 
 
+def _by_rows(left_table: list[list[int]], right_table: list[list[int]], rs: int):
+    """A product-ring table from its factors' tables, the pair (i, j)
+    having index i * rs + j: row (i, j) holds left[i][k] * rs + right[j][m]
+    at column (k, m), read from left row i shifted once."""
+    out = []
+    for left_row in left_table:
+        shifted = [x * rs for x in left_row]
+        out += [[a + b for a in shifted for b in right_row] for right_row in right_table]
+    return out
+
+
 def _build_product(left: FiniteRing, right: FiniteRing, label: str, spec) -> FiniteRing:
     rs = right.size
     size = left.size * rs
-    add = [
-        [left.add[i][k] * rs + right.add[j][m] for k in range(left.size) for m in range(rs)]
-        for i in range(left.size)
-        for j in range(rs)
-    ]
-    mul = [
-        [left.mul[i][k] * rs + right.mul[j][m] for k in range(left.size) for m in range(rs)]
-        for i in range(left.size)
-        for j in range(rs)
-    ]
+    add = _by_rows(left.add, right.add, rs)
+    mul = _by_rows(left.mul, right.mul, rs)
     neg = [left.neg[i] * rs + right.neg[j] for i in range(left.size) for j in range(rs)]
     one = left.one_index * rs + right.one_index
     names = [

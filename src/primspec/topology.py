@@ -8,9 +8,10 @@ inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .ideals import _least_superset, canonical_key, iter_bits
+from .ideals import canonical_key, iter_bits
 
 
 class TopologyAxiomError(RuntimeError):
@@ -19,6 +20,16 @@ class TopologyAxiomError(RuntimeError):
 
 class CoverageError(ValueError):
     """A purported cover does not cover the target subset."""
+
+
+def _least_superset(family: list[int], subset: int) -> int:
+    """Index of the least member of ``family`` (ascending by size, closed
+    under intersection, ending with the whole set) containing ``subset``."""
+    for i, member in enumerate(family):
+        if subset & ~member == 0:
+            return i
+    stray = list(itertools.islice(iter_bits(subset & ~family[-1]), 5))
+    raise ValueError(f"set has bits outside the largest member, lowest {stray}")
 
 
 class FiniteTopology:

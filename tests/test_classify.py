@@ -192,6 +192,51 @@ def test_star_condition_examples():
     assert star_condition(a7.lattice, a7.prim) == (True, None)
 
 
+def _star_condition_by_elements(lattice, spectrum):
+    """Slow oracle: for each r with a proper non-empty X_r, the union of
+    X_s over the nonzero s with X_s not containing X_r, one s at a time."""
+    ring = lattice.ring
+    opens, full = spectrum.basic_opens(), spectrum.all_points()
+    for r in range(ring.size):
+        xr = opens[r]
+        if not xr or xr == full:
+            continue
+        union, family = 0, []
+        for s in range(1, ring.size):
+            if xr & ~opens[s]:
+                union |= opens[s]
+                family.append(s)
+        if xr & ~union == 0:
+            names = ring.element_names
+            shown = [names[s] for s in family if opens[s]]
+            return False, f"X_{names[r]} covered by basic opens of {shown}"
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "text", ["Zn(12)", "Zn(30)", "Zn(210)", "Prod(Zn(6), Zn(6))", "Prod(Zn(4), Zn(9))"]
+)
+def test_star_condition_agrees_with_scalar_scan(text):
+    # in Zn(30) the first failing basic open is X_2 = X_4 = ..., which is
+    # neither the smallest distinct one nor held by one element only
+    a = analyze_ring(text)
+    assert star_condition(a.lattice, a.prim) == _star_condition_by_elements(a.lattice, a.prim)
+
+
+def test_star_condition_witness_matches_scalar_scan_on_corrupted_opens(monkeypatch):
+    # every way of corrupting one basic open of Zn(12) to another point set
+    a = analyze_ring("Zn(12)")
+    opens = list(a.prim.basic_opens())
+    failures = 0
+    for r, v in itertools.product(range(len(opens)), range(a.prim.all_points() + 1)):
+        corrupted = opens[:r] + [v] + opens[r + 1 :]
+        monkeypatch.setattr(a.prim, "basic_opens", lambda c=corrupted: c)
+        expected = _star_condition_by_elements(a.lattice, a.prim)
+        assert star_condition(a.lattice, a.prim) == expected, (r, v)
+        failures += not expected[0]
+    assert failures == 24
+
+
 def test_star_condition_matches_prime_count():
     for text in (
         "Zn(8)",

@@ -9,8 +9,6 @@ from oracles import ideal_generated_by
 
 from primspec.corpus import DEFAULT_CORPUS
 from primspec.ideals import (
-    IdealLattice,
-    _least_superset,
     _principal_masks,
     _sum_mask,
     enumerate_ideals,
@@ -24,6 +22,7 @@ from primspec.rings import (
     parse_ring_spec,
     unit_and_nilpotent_flags,
 )
+from primspec.topology import _least_superset
 
 
 def _ring(text):
@@ -335,8 +334,8 @@ def test_principal_ids_agree_with_column_oracle(text):
     lat = enumerate_ideals(ring)
     for g in range(ring.size):
         assert lat.mask(lat.principal_ids[g]) == _column_principal_mask(ring, g), g
-    # a lattice built from its masks and the principal masks gets the same ids
-    assert IdealLattice(ring, lat.masks, _principal_masks(ring)).principal_ids == lat.principal_ids
+    # the principal masks, looked up among the members, give the same ids
+    assert [lat.id_of(m) for m in _principal_masks(ring)] == lat.principal_ids
 
 
 def _power_masks(ring):
@@ -409,20 +408,36 @@ def _product_mask(ring, a, b):
     return out
 
 
+def _assert_sums_and_products_agree(ring, lat):
+    for i, j in itertools.product(range(len(lat)), repeat=2):
+        a, b = lat.mask(i), lat.mask(j)
+        assert lat.mask(lat.sum_id(i, j)) == _pairwise_sum_mask(ring, a, b), (i, j)
+        assert lat.mask(lat.product_id(i, j)) == _product_mask(ring, a, b), (i, j)
+
+
 @pytest.mark.parametrize("text", LATTICE_RINGS)
 def test_lattice_lookups_agree_with_element_arithmetic(text):
     """Sums, products and generated ideals read off the lattice agree with
     the same operations computed from the ring tables."""
     ring = _ring(text)
     lat = enumerate_ideals(ring)
-    for i, j in itertools.product(range(len(lat)), repeat=2):
-        a, b = lat.mask(i), lat.mask(j)
-        assert lat.mask(lat.sum_id(i, j)) == _pairwise_sum_mask(ring, a, b), (i, j)
-        assert lat.mask(lat.product_id(i, j)) == _product_mask(ring, a, b), (i, j)
+    _assert_sums_and_products_agree(ring, lat)
     for g in range(ring.size):
         assert _generated(lat, [g]) == ideal_generated_by(ring, [g]), g
         for h in range(g + 1, ring.size):
             assert _generated(lat, [g, h]) == ideal_generated_by(ring, [g, h]), (g, h)
+
+
+@pytest.mark.parametrize(
+    "text",
+    # a Boolean lattice of 64 ideals, and local rings of 512 and 256
+    # elements whose ideals are not all principal, so that sums and
+    # products run down long paths of the sum tree
+    ["Prod(GF(2), " * 5 + "GF(2)" + ")" * 5, "Quot(Zn(8), x^3+2x)", "Quot(Zn(4), x^4)"],
+)
+def test_sum_and_product_tables_agree_with_element_arithmetic(text):
+    ring = _ring(text)
+    _assert_sums_and_products_agree(ring, enumerate_ideals(ring))
 
 
 def _pairwise_generated(ring, gens):

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_ideals import POOL_RINGS
 
 from primspec.rings import (
     CapExceededError,
@@ -357,6 +358,35 @@ def test_quotients_at_the_cap_build_fast_and_satisfy_the_axioms():
     for ring in rings:
         assert ring.size == 1024
         assert check_ring_axioms(ring) == [], ring.label
+
+
+def _index_formula_tables(spec):
+    """Slow oracle: (add, mul, neg) with Zn entries (i + j) % n, (i * j) % n
+    and (-i) % n, and Prod entries left[i][k] * rs + right[j][m] one index
+    at a time; other quotients come from ``build_ring``, which
+    ``test_quotient_tables_match_polynomial_oracle`` checks."""
+    if isinstance(spec, ZnSpec) or (isinstance(spec, GFSpec) and spec.k == 1):
+        n = spec.n if isinstance(spec, ZnSpec) else spec.p
+        add = [[(i + j) % n for j in range(n)] for i in range(n)]
+        mul = [[(i * j) % n for j in range(n)] for i in range(n)]
+        return add, mul, [(-i) % n for i in range(n)]
+    if isinstance(spec, ProdSpec):
+        ladd, lmul, lneg = _index_formula_tables(spec.left)
+        radd, rmul, rneg = _index_formula_tables(spec.right)
+        ls, rs = len(lneg), len(rneg)
+        pairs = [(i, j) for i in range(ls) for j in range(rs)]
+        add = [[ladd[i][k] * rs + radd[j][m] for k, m in pairs] for i, j in pairs]
+        mul = [[lmul[i][k] * rs + rmul[j][m] for k, m in pairs] for i, j in pairs]
+        return add, mul, [lneg[i] * rs + rneg[j] for i, j in pairs]
+    ring = build_ring(spec)
+    return ring.add, ring.mul, ring.neg
+
+
+@pytest.mark.parametrize("text", POOL_RINGS + ["Prod(Zn(32), Zn(32))"])
+def test_zn_and_product_tables_match_index_formula(text):
+    spec = parse_ring_spec(text)
+    ring = build_ring(spec)
+    assert (ring.add, ring.mul, ring.neg) == _index_formula_tables(spec)
 
 
 def test_unit_and_nilpotent_flags_examples():
