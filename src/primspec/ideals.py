@@ -67,7 +67,8 @@ def _principal_masks(ring: FiniteRing) -> list[int]:
 def _cosets(ring: FiniteRing, a: int, b: int):
     """Yield (y, mask) for each coset y + a other than a that meets ``b``,
     y its least element in ``b``; ``a`` is an additive subgroup, and each
-    coset costs |a| lookups."""
+    coset costs |a| lookups.  A coset that misses its own y shows that the
+    addition table breaks the group laws, and raises ValueError."""
     left = b & ~a
     if not left:
         return
@@ -79,6 +80,11 @@ def _cosets(ring: FiniteRing, a: int, b: int):
         coset = 0
         for x in xs:
             coset |= 1 << row[x]
+        if not (coset >> y) & 1:
+            raise ValueError(
+                f"addition table of {ring.label} breaks the group laws: "
+                f"{y} + the subgroup misses {y}"
+            )
         yield y, coset
         left &= ~coset
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # deterministic < 3.3e24
-_TRIAL_LIMIT = 1_000_000
 
 
 class NotACoverError(ValueError):
@@ -81,26 +80,19 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Sorted prime factorization of |n|; n must be nonzero and fit in 64 bits."""
+    """Sorted prime factorization of |n| for nonzero |n| < 2^64: trial
+    division by the primes up to 41, then Miller-Rabin and Brent's rho on
+    what is left, so the cost follows the smallest prime factor."""
     if n == 0:
         raise ValueError("zero has no prime factorization")
     n = abs(n)
-    if n >= 1 << 63:
+    if n.bit_length() > 64:
         raise ValueError("input exceeds 64 bits")
     factors: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _MR_BASES:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f <= _TRIAL_LIMIT and f * f <= n:
-        while n % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            n //= f
-        f += wheel[i]
-        i = (i + 1) % len(wheel)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -263,17 +255,27 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _strip(v: int, r: int) -> int:
+    """|v| with every prime dividing r divided out: 1 exactly when every
+    prime of v divides r."""
+    v = abs(v)
+    while (d := gcd(v, r)) != 1:
+        v //= d
+    return v
+
+
 def extract_finite_subcover_z(r: int, s_values: list[int]) -> SubcoverCertificate:
     """Finite subcover of the basic open X_r from the basic opens of s_values.
 
     Requires X_r to be covered, i.e. every prime dividing gcd(s_values)
     must divide r; otherwise NotACoverError carries an uncovered prime
-    family.  The certificate is re-verified in exact arithmetic.
+    family.  The certificate is re-verified in exact arithmetic.  Only r
+    is factored; coverage is decided by stripping gcds with r.
     """
     if r == 0:
         raise ValueError("r must be nonzero")
     nonzero = [s for s in s_values if s != 0]
-    r_primes = {p for p, _ in factorize(r)} if abs(r) != 1 else set()
+    r_factors = factorize(r)
     if not nonzero:
         raise NotACoverError(
             "no nonzero covering elements: the zero ideal stays uncovered"
@@ -281,20 +283,20 @@ def extract_finite_subcover_z(r: int, s_values: list[int]) -> SubcoverCertificat
     g = 0
     for s in nonzero:
         g = gcd(g, s)
-    if abs(g) != 1:
-        for p, _ in factorize(g):
-            if p not in r_primes:
-                raise NotACoverError(
-                    f"power family of {p} lies in X_{r} but in no X_s",
-                    uncovered_prime=p,
-                )
+    left = _strip(g, r)
+    if left != 1:
+        p = factorize(left)[0][0]
+        raise NotACoverError(
+            f"power family of {p} lies in X_{r} but in no X_s",
+            uncovered_prime=p,
+        )
     delta: list[int] = []
     for s in nonzero:
         delta.append(s)
         g_d = 0
         for v in delta:
             g_d = gcd(g_d, v)
-        if abs(g_d) == 1 or all(p in r_primes for p, _ in factorize(g_d)):
+        if _strip(g_d, r) == 1:
             break
     i = 0
     while i < len(delta):
@@ -303,17 +305,18 @@ def extract_finite_subcover_z(r: int, s_values: list[int]) -> SubcoverCertificat
             g_rest = 0
             for w in rest:
                 g_rest = gcd(g_rest, w)
-            if abs(g_rest) == 1 or all(p in r_primes for p, _ in factorize(g_rest)):
+            if _strip(g_rest, r) == 1:
                 delta = rest
                 continue
         i += 1
     g_d, coeffs = _bezout_chain(delta)
     exponent = 1
-    if abs(g_d) != 1:
-        exponent = max(
-            -(-k // next(e for q, e in factorize(r) if q == p))
-            for p, k in factorize(g_d)
-        )
+    for p, e in r_factors:
+        k, v = 0, g_d
+        while v % p == 0:
+            v //= p
+            k += 1
+        exponent = max(exponent, -(-k // e))
     power = r**exponent
     scale = power // g_d
     cert = SubcoverCertificate(

@@ -6,8 +6,11 @@ verdict lines inline).
 
 import itertools
 import json
+import random
 import time
 from math import gcd
+
+import sympy
 
 from primspec.classify import (
     a_conditions,
@@ -28,6 +31,7 @@ from primspec.zsymbolic import (
     closure_equal_z,
     closure_equal_zxz,
     extract_finite_subcover_z,
+    factorize,
     prim_zxz_closure,
     v_rad_z,
     v_z,
@@ -364,3 +368,20 @@ def test_criterion_17_boolean_lattice_export(capsys):
     assert len(report["ideals"]) == 512
     assert all(entry["pass"] for entry in report["theorems"])
     _verdict(17, "GF(2)^9 exported within 5 s, every law passing")
+
+
+def test_criterion_18_symbolic_factorization_at_64_bits():
+    # semiprimes whose factors both lie above the old 10^6 trial-division
+    # bound, and random 62-bit integers: factored within 1 s together
+    rng = random.Random(18)
+    values = []
+    while len(values) < 15:
+        p, q = (sympy.nextprime(rng.randrange(10**6, 2**31 - 100)) for _ in range(2))
+        if p < 2**31 and q < 2**31:
+            values.append(p * q)
+    values += [rng.getrandbits(62) | 1 << 61 for _ in range(15)]
+    with _timed(1.0):
+        results = [factorize(n) for n in values]
+    for n, got in zip(values, results):
+        assert got == sorted(sympy.factorint(n).items()), n
+    _verdict(18, "15 semiprimes above 10^6 and 15 random 62-bit integers factored within 1 s")

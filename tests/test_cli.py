@@ -266,6 +266,14 @@ def test_z_vrad_rendering(capsys):
     }
 
 
+def test_z_vrad_accepts_64_bits(capsys):
+    code, out, _ = run(capsys, "z", "vrad", "18446744073709551615")
+    assert code == 0
+    assert out.strip().startswith("{(3^k): k≥1} ∪ {(5^k): k≥1}")
+    code, _, err = run(capsys, "z", "vrad", "18446744073709551616")
+    assert code == 2 and "input exceeds 64 bits" in err
+
+
 def test_z_v_contrast(capsys):
     code, out, _ = run(capsys, "z", "v", "12")
     assert code == 0 and out.strip() == "{(2), (3)}"

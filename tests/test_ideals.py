@@ -9,6 +9,7 @@ from oracles import ideal_generated_by
 
 from primspec.corpus import DEFAULT_CORPUS
 from primspec.ideals import (
+    _cosets,
     _principal_masks,
     _sum_mask,
     enumerate_ideals,
@@ -326,6 +327,25 @@ def test_coset_walk_sum_agrees_with_pairwise_sum(text):
         assert _sum_mask(ring, a, b) == _pairwise_sum_mask(ring, a, b)
     for g, mask in enumerate(_principal_masks(ring)):
         assert mask == _column_principal_mask(ring, g), g
+
+
+def test_cosets_reject_an_addition_table_that_breaks_the_group_laws():
+    # Prod(Zn(6), Zn(6)) with its last addition row rotated one place
+    # further, so 35 + 0 is 30; read through islice, so that a walk which
+    # never clears 35 fails the test instead of hanging it
+    good = _ring("Prod(Zn(6), Zn(6))")
+    last = good.add[-1]
+    broken = FiniteRing(
+        good.size,
+        good.add[:-1] + [last[1:] + last[:1]],
+        good.mul,
+        good.neg,
+        good.one_index,
+        "broken",
+        good.element_names,
+    )
+    with pytest.raises(ValueError, match="table of broken .* 35 "):
+        list(itertools.islice(_cosets(broken, 1, (1 << broken.size) - 1), broken.size + 1))
 
 
 @pytest.mark.parametrize("text", LATTICE_RINGS)

@@ -1,12 +1,15 @@
 """Symbolic primary spectra of Z and Z x Z."""
 
+import random
 from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import factorize_by_trial_division, subcover_by_factoring
 
+from primspec import zsymbolic
 from primspec.zsymbolic import (
     NotACoverError,
     ZERO_IDEAL,
@@ -63,10 +66,72 @@ def test_factorize_examples():
         factorize(1 << 64)
 
 
+def test_factorize_accepts_exactly_64_bits():
+    expected = [(3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1)]
+    assert factorize((1 << 64) - 1) == expected
+    assert factorize(-((1 << 64) - 1)) == expected
+    for n in (1 << 64, -(1 << 64)):
+        with pytest.raises(ValueError, match="input exceeds 64 bits"):
+            factorize(n)
+
+
 def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == [(p, 1), (q, 1)]
     assert factorize(p * p) == [(p, 2)]
+
+
+def _as_factorint(n):
+    return sorted(sympy.factorint(n).items())
+
+
+def _random_prime(rng, low, high):
+    """A prime in (low, high), from a seeded draw."""
+    while True:
+        p = sympy.nextprime(rng.randrange(low, high))
+        if p < high:
+            return p
+
+
+def test_factorize_semiprimes_above_a_million():
+    # the factors come from sympy.nextprime, so the expected result is known
+    rng = random.Random(14)
+    for _ in range(40):
+        p, q = sorted((_random_prime(rng, 10**6, 2**31), _random_prime(rng, 10**6, 2**31)))
+        expected = [(p, 2)] if p == q else [(p, 1), (q, 1)]
+        assert factorize(p * q) == expected, p * q
+
+
+@pytest.mark.parametrize("bits", [62, 64])
+def test_factorize_random_wide_integers_match_sympy(bits):
+    rng = random.Random(bits)
+    for _ in range(40):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert factorize(n) == _as_factorint(n), n
+
+
+def test_factorize_prime_powers_match_sympy_and_trial_division():
+    # no factor below 43 and not squares, so Brent's rho must split them;
+    # each value stays below 2^63, where the trial-division oracle runs
+    rng = random.Random(3)
+    values = []
+    for _ in range(12):
+        p, q = _random_prime(rng, 41, 10**6), _random_prime(rng, 41, 10**6)
+        values += [p**3, _random_prime(rng, 41, 6000) ** 5]
+        if q != p:
+            values.append(p * p * q)
+    for n in values:
+        assert factorize(n) == _as_factorint(n) == factorize_by_trial_division(n), n
+
+
+def test_factorize_small_prime_multiples_match_sympy_and_trial_division():
+    rng = random.Random(41)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for _ in range(30):
+        n = _random_prime(rng, 10**6, 10**9)
+        for b in rng.sample(small, rng.randint(1, 3)):
+            n *= b ** rng.randint(1, 2)
+        assert factorize(n) == _as_factorint(n) == factorize_by_trial_division(n), n
 
 
 @given(st.integers(1, 10**12))
@@ -204,6 +269,74 @@ def test_subcover_certificates_verify_or_reject(r, s_values):
     else:
         with pytest.raises(NotACoverError):
             extract_finite_subcover_z(r, s_values)
+
+
+def _subcover_value(rng):
+    """Zero, or a signed product of prime powers below 10^12, often with a
+    cofactor."""
+    if rng.random() < 0.1:
+        return 0
+    v = 1
+    for _ in range(rng.randint(0, 4)):
+        f = rng.choice((2, 3, 5, 7, 11, 13, 41, 43, 97, 1009, 10007)) ** rng.randint(1, 4)
+        if v * f < 10**12:
+            v *= f
+    if rng.random() < 0.3 and v < 10**8:
+        v *= rng.randint(1, 10**4)
+    return v * rng.choice((1, -1))
+
+
+def _subcover_outcome(extract, r, s_values):
+    try:
+        cert = extract(r, s_values)
+    except NotACoverError as err:
+        return "not a cover", str(err), err.uncovered_prime
+    except ValueError as err:
+        return "invalid", str(err)
+    return "cover", cert.r, cert.delta, cert.exponent, cert.coefficients
+
+
+def test_subcover_matches_the_factoring_oracle():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(2000):
+        r = _subcover_value(rng)
+        s_values = [_subcover_value(rng) for _ in range(rng.randint(1, 6))]
+        expected = _subcover_outcome(subcover_by_factoring, r, s_values)
+        assert _subcover_outcome(extract_finite_subcover_z, r, s_values) == expected, (r, s_values)
+        outcomes.add((expected[0], expected[0] == "cover" and expected[3] > 1))
+    assert outcomes == {
+        ("cover", True),
+        ("cover", False),
+        ("not a cover", False),
+        ("invalid", False),
+    }
+
+
+def test_subcover_factors_only_r(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(zsymbolic, "factorize", counted)
+    for r, s_values in [(6, [4, 9, 25]), (2, [8]), (-12, [0, 18, -27, 32]), (7, [10, 21])]:
+        calls.clear()
+        assert extract_finite_subcover_z(r, s_values).verify()
+        assert calls == [r]
+
+
+def test_subcover_accepts_a_gcd_above_63_bits():
+    # gcd(s_values) = 3 * 2^64, every prime of which divides r
+    s_values = [3 << 64, 9 << 64]
+    with pytest.raises(ValueError, match="input exceeds 64 bits"):
+        subcover_by_factoring(6, s_values)
+    cert = extract_finite_subcover_z(6, s_values)
+    assert cert.verify() and cert.exponent == 64
+    with pytest.raises(NotACoverError) as err:
+        extract_finite_subcover_z(6, [5 << 64, 10 << 64])
+    assert err.value.uncovered_prime == 5
 
 
 def test_a2_failure_witness():
