@@ -31,7 +31,7 @@ from .rings import (  # noqa: F401
     parse_ring_spec,
     unit_and_nilpotent_flags,
 )
-from .spectra import Spectrum, build_spectrum  # noqa: F401
+from .spectra import Spectrum  # noqa: F401
 from .topology import (  # noqa: F401
     CoverageError,
     FiniteTopology,

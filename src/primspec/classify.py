@@ -26,7 +26,7 @@ from .rings import (
     parse_ring_spec,
     unit_and_nilpotent_flags,
 )
-from .spectra import Spectrum, build_spectrum
+from .spectra import Spectrum
 from .topology import (
     is_irreducible,
     is_quasi_compact,
@@ -253,15 +253,16 @@ def closure_identity_check(spectrum: Spectrum) -> tuple[bool, str | None]:
     """closure(Y) == variety(xi(Y)) for every set Y of points, folded over
     the (closure, xi mask) pairs, at most |closed sets| * |ideals| of them.
     The closure side comes from the closed family alone (closure(Y + p) =
-    closure(closure(Y) + p)), the other from the lattice, so the two are
+    closure(Y) + closure(p)), the other from the lattice, so the two are
     computed independently.  A failure names a smallest failing Y.
     """
     lattice = spectrum.lattice
     masks = [lattice.mask(i) for i in spectrum.points]
+    point_closures = spectrum.topology.point_closures()
     y = _first_failing_fold(
         (0, (1 << lattice.ring.size) - 1),
         range(len(masks)),
-        lambda s, pos: (spectrum.closure(s[0] | 1 << pos), s[1] & masks[pos]),
+        lambda s, pos: (s[0] | point_closures[pos], s[1] & masks[pos]),
         lambda s: s[0] == spectrum.variety(lattice.id_of(s[1])),
     )
     return (True, None) if y is None else (False, spectrum.render_point_set(mask_of(y)))
@@ -295,8 +296,8 @@ def analyze_ring(
         spec=spec,
         ring=ring,
         lattice=lattice,
-        prim=build_spectrum(lattice, "primary"),
-        primes=build_spectrum(lattice, "prime"),
+        prim=Spectrum(lattice, "primary"),
+        primes=Spectrum(lattice, "prime"),
         classification=classify_ring(lattice),
     )
 
@@ -577,22 +578,20 @@ def verify_theorems(
             holds, witness = False, names[r]
     _law(report, "basic-open-empty-iff-nilpotent", holds, witness)
 
-    holds, witness = True, None
     distinct_opens = prim.basic_open_family()
-    for r in range(ring.size):
-        chosen = is_quasi_compact(topo, x[r], distinct_opens)
-        covered = 0
-        for i in chosen:
-            covered |= distinct_opens[i]
-        if x[r] & ~covered:
-            holds, witness = False, names[r]
-    _law(report, "basic-open-quasi-compact", holds, witness)
 
-    chosen = is_quasi_compact(topo, all_pts, distinct_opens)
-    covered = 0
-    for i in chosen:
-        covered |= distinct_opens[i]
-    _law(report, "space-quasi-compact", all_pts & ~covered == 0)
+    def greedy_cover_fails(subset):
+        covered = 0
+        for i in is_quasi_compact(topo, subset, distinct_opens):
+            covered |= distinct_opens[i]
+        return subset & ~covered != 0
+
+    # one greedy cover per distinct basic open; a failure names the last
+    # element whose open fails
+    failing = {xr for xr in distinct_opens if greedy_cover_fails(xr)}
+    bad = [names[r] for r in range(ring.size) if x[r] in failing]
+    _law(report, "basic-open-quasi-compact", not bad, bad[-1] if bad else None)
+    _law(report, "space-quasi-compact", not greedy_cover_fails(all_pts))
 
     # star condition ---------------------------------------------------------
     nonzero_primes = [i for i in cls.prime_ideals if lattice.mask(i) != 1]
@@ -627,15 +626,15 @@ def verify_theorems(
         witness = "{" + ", ".join(map(lattice.render, sorted(gamma))) + "} disagrees"
     _law(report, "uniform-exponent-mode-agreement", gamma is None, witness)
 
-    a2_values = [
-        a_conditions(lattice, fam, mode).a2
+    uniform = all(
+        all(member_a2[i] for i in fam)
+        and a_conditions(lattice, fam, "A2_radical_form").a2
         for fam in (all_ids, primary_ids or all_ids)
-        for mode in ("A2_original", "A2_radical_form")
-    ]
+    )
     _iff(
         report,
         "uniform-exponent-zero-dimensional",
-        all(a2_values),
+        uniform,
         cls.is_zero_dimensional,
     )
 
@@ -650,15 +649,16 @@ def verify_theorems(
         applicable=cls.is_zero_dimensional,
     )
 
+    point_closures = topo.point_closures()
     holds, witness = True, None
     for pos, ideal_id in enumerate(prim.points):
-        if prim.closure(1 << pos) != varieties[ideal_id]:
+        if point_closures[pos] != varieties[ideal_id]:
             holds, witness = False, prim.render_point(pos)
     _law(report, "point-closure-is-variety", holds, witness)
 
     holds, witness = True, None
     for pos_i, i in enumerate(prim.points):
-        closure_i = prim.closure(1 << pos_i)
+        closure_i = point_closures[pos_i]
         for pos_j, j in enumerate(prim.points):
             expected = lattice.mask(i) & ~lattice.mask(lattice.radical_ids[j]) == 0
             if (closure_i >> pos_j & 1 == 1) != expected:

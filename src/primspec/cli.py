@@ -21,7 +21,7 @@ from .classify import (
 )
 from .corpus import default_corpus, load_corpus
 from .ideals import DEFAULT_IDEAL_CAP, iter_bits
-from .report import build_report, dot_ideal_lattice, dot_specialization
+from .report import build_report, dot_ideal_lattice, dot_specialization, spectrum_block
 from .rings import (
     DEFAULT_ELEMENT_CAP,
     CapExceededError,
@@ -231,25 +231,14 @@ def _spectrum_text(spectrum: Spectrum, title: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_prim(args) -> int:
+def cmd_spectrum(args) -> int:
+    """``prim`` shows the primary spectrum, ``spec`` the prime one."""
     a = _analyze(args)
+    spectrum, title = (a.prim, "Prim") if args.command == "prim" else (a.primes, "Spec")
     if args.json:
-        from .report import spectrum_block
-
-        _emit_json(args, spectrum_block(a.prim))
+        _emit_json(args, spectrum_block(spectrum))
     else:
-        _emit(args, _spectrum_text(a.prim, f"Prim({a.ring.label})"))
-    return 0
-
-
-def cmd_spec(args) -> int:
-    a = _analyze(args)
-    if args.json:
-        from .report import spectrum_block
-
-        _emit_json(args, spectrum_block(a.primes))
-    else:
-        _emit(args, _spectrum_text(a.primes, f"Spec({a.ring.label})"))
+        _emit(args, _spectrum_text(spectrum, f"{title}({a.ring.label})"))
     return 0
 
 
@@ -490,8 +479,8 @@ def cmd_z(args) -> int:
 _COMMANDS = {
     "info": cmd_info,
     "ideals": cmd_ideals,
-    "prim": cmd_prim,
-    "spec": cmd_spec,
+    "prim": cmd_spectrum,
+    "spec": cmd_spectrum,
     "check": cmd_check,
     "verify-paper": cmd_verify_paper,
     "export": cmd_export,

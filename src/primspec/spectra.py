@@ -111,8 +111,3 @@ class Spectrum:
     def render_point_set(self, point_set: int) -> str:
         inner = ", ".join(self.render_point(p) for p in iter_bits(point_set))
         return "{" + inner + "}"
-
-
-def build_spectrum(lattice: IdealLattice, kind: str) -> Spectrum:
-    """Spectrum of the given kind with its closed-set family verified."""
-    return Spectrum(lattice, kind)

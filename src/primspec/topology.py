@@ -1,9 +1,11 @@
 """Property checkers for finite topological spaces given by closed sets.
 
-Point sets are int bit-masks: bit i stands for point i.  Open sets are
-derived from the closed family by complementation; the closed family is the
-single source of truth.  All checkers are pure functions over immutable
-inputs.
+Point sets are int bit-masks: bit i stands for point i.  The closed family
+is the single source of truth: open sets are its complements, and each
+point's closure is the meet of the members that hold it, found once.  The
+closure of any point set is the union of its points' closures, since the
+family is closed under finite unions.  All checkers are pure functions over
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -22,16 +24,6 @@ class CoverageError(ValueError):
     """A purported cover does not cover the target subset."""
 
 
-def _least_superset(family: list[int], subset: int) -> int:
-    """Index of the least member of ``family`` (ascending by size, closed
-    under intersection, ending with the whole set) containing ``subset``."""
-    for i, member in enumerate(family):
-        if subset & ~member == 0:
-            return i
-    stray = list(itertools.islice(iter_bits(subset & ~family[-1]), 5))
-    raise ValueError(f"set has bits outside the largest member, lowest {stray}")
-
-
 class FiniteTopology:
     """Finite topological space: ``point_count`` points plus closed sets.
 
@@ -46,7 +38,12 @@ class FiniteTopology:
         self.closed_sets = sorted(self._closed_set_set, key=canonical_key)
         self._validate()
         self.opens = sorted({self.full ^ c for c in self.closed_sets}, key=canonical_key)
-        self._closures: list[int] | None = None
+        # the family holds the full set and is closed under intersection, so
+        # the meet of the members holding x is the least closed set holding x
+        self._point_closures = [self.full] * point_count
+        for c in self.closed_sets:
+            for x in iter_bits(c):
+                self._point_closures[x] &= c
 
     def _validate(self):
         if 0 not in self._closed_set_set:
@@ -66,13 +63,19 @@ class FiniteTopology:
         return subset in self._closed_set_set
 
     def closure(self, subset: int) -> int:
-        """Smallest closed superset, from the closed family alone."""
-        return self.closed_sets[_least_superset(self.closed_sets, subset)]
+        """Smallest closed superset: the union of its points' closures, which
+        is closed since the family is closed under finite unions."""
+        if subset & ~self.full:
+            stray = list(itertools.islice(iter_bits(subset & ~self.full), 5))
+            raise ValueError(f"set has bits outside the space, lowest {stray}")
+        out = 0
+        for x in iter_bits(subset):
+            out |= self._point_closures[x]
+        return out
 
     def point_closures(self) -> list[int]:
-        if self._closures is None:
-            self._closures = [self.closure(1 << x) for x in range(self.point_count)]
-        return self._closures
+        """The closure of each point, computed once from the closed family."""
+        return self._point_closures
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Slow oracles shared by several test modules."""
 
+import itertools
 from math import gcd, isqrt
 
-from primspec.ideals import _sum_mask
+from primspec.ideals import _sum_mask, iter_bits
 from primspec.rings import FiniteRing
 from primspec.zsymbolic import (
     NotACoverError,
@@ -29,6 +30,17 @@ def ideal_generated_by(ring: FiniteRing, gens) -> int:
         if not (mask >> g) & 1:
             mask = _sum_mask(ring, mask, _principal_mask(ring, g))
     return mask
+
+
+def least_superset(family: list[int], subset: int) -> int:
+    """Index of the least member of ``family`` (ascending by size, closed
+    under intersection, ending with the whole set) containing ``subset``,
+    by a scan of the family."""
+    for i, member in enumerate(family):
+        if subset & ~member == 0:
+            return i
+    stray = list(itertools.islice(iter_bits(subset & ~family[-1]), 5))
+    raise ValueError(f"set has bits outside the largest member, lowest {stray}")
 
 
 def factorize_by_trial_division(n: int) -> list[tuple[int, int]]:

@@ -1,9 +1,10 @@
-"""Smoke test of the scale bench script on one small ring."""
+"""Smoke test of the scale bench script on small rings."""
 
 import importlib.util
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_scale.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_scale.py"
 
 
 def _bench_scale():
@@ -14,6 +15,22 @@ def _bench_scale():
 
 
 def test_time_exports_times_one_export_per_ring():
-    times = _bench_scale().time_exports(["Zn(12)"])
-    assert list(times) == ["Zn(12)"]
-    assert 0 < times["Zn(12)"] < 30
+    # the same tree twice, as two columns
+    trees = {"first": ROOT / "src", "second": ROOT / "src"}
+    times = _bench_scale().time_exports(["Zn(12)", "Zn(6)"], trees)
+    assert list(times) == ["first", "second"]
+    for column in times.values():
+        assert list(column) == ["Zn(12)", "Zn(6)"]
+        assert all(0 < t < 30 for t in column.values())
+
+
+def test_run_order_interleaves_trees_and_alternates_the_first():
+    order = _bench_scale().run_order(["A", "B", "C"], ["parent", "change"])
+    assert order == [
+        ("A", "parent"),
+        ("A", "change"),
+        ("B", "change"),
+        ("B", "parent"),
+        ("C", "parent"),
+        ("C", "change"),
+    ]

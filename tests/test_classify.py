@@ -578,3 +578,44 @@ def test_row_wise_basic_open_laws_name_the_scalar_witness(monkeypatch, r, corrup
     for entry_id, witness in expected.items():
         entry = report.entry(entry_id)
         assert (entry.passed, entry.witness) == (witness is None, witness), entry_id
+
+
+def _uniform_exponent_holds(a, report):
+    """Check the uniform-exponent verdicts of one analysis against one
+    ``a_conditions`` call per family and mode; return the report's verdict."""
+    lat = a.lattice
+    ids = list(range(len(lat)))
+    families = (ids, a.classification.primary_ideals or ids)
+    for fam in families:
+        members = all(a_conditions(lat, [i], "A2_original").a2 for i in fam)
+        assert a_conditions(lat, fam, "A2_original").a2 == members
+    entry = report.entry("uniform-exponent-zero-dimensional")
+    assert entry.lhs == all(
+        a_conditions(lat, fam, mode).a2
+        for fam in families
+        for mode in ("A2_original", "A2_radical_form")
+    )
+    return entry.lhs
+
+
+def test_uniform_exponent_family_verdict_is_the_and_of_its_members(corpus_suite):
+    results, _ = corpus_suite
+    for text, (a, report) in results.items():
+        assert _uniform_exponent_holds(a, report), text
+    # top powers corrupted after the lattice is built: the unit 5 of Zn(12)
+    # reads as lying in every radical, and its powers 5, 1 never reach (0)
+    a = analyze_ring("Zn(12)")
+    top = list(a.ring.top_powers())
+    top[5] = 0
+    a.ring._top_powers = top
+    assert not _uniform_exponent_holds(a, verify_theorems(a))
+
+
+def test_basic_open_quasi_compact_names_the_last_failing_element(monkeypatch):
+    # a cover search that chooses nothing fails every nonempty basic open
+    a = analyze_ring("Zn(12)")
+    monkeypatch.setattr("primspec.classify.is_quasi_compact", lambda t, subset, cover: [])
+    x = a.prim.basic_opens()
+    last = max(r for r in range(a.ring.size) if x[r])
+    entry = verify_theorems(a).entry("basic-open-quasi-compact")
+    assert (entry.passed, entry.witness) == (False, a.ring.element_names[last])

@@ -5,7 +5,7 @@ import random
 from collections import deque
 
 import pytest
-from oracles import ideal_generated_by
+from oracles import ideal_generated_by, least_superset
 
 from primspec.corpus import DEFAULT_CORPUS
 from primspec.ideals import (
@@ -23,7 +23,6 @@ from primspec.rings import (
     parse_ring_spec,
     unit_and_nilpotent_flags,
 )
-from primspec.topology import _least_superset
 
 
 def _ring(text):
@@ -244,7 +243,7 @@ def _closure_fixpoint(ring):
 
 def _generated(lattice, gens):
     """The lattice's ideal generated by ``gens``: its least member above them."""
-    return lattice.mask(_least_superset(lattice.masks, mask_of(gens)))
+    return lattice.mask(least_superset(lattice.masks, mask_of(gens)))
 
 
 # every default-corpus ring, plus a Quot with non-principal ideals (every

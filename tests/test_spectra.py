@@ -9,7 +9,7 @@ import pytest
 from oracles import ideal_generated_by
 from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, parse_ring_spec, unit_and_nilpotent_flags
-from primspec.spectra import build_spectrum
+from primspec.spectra import Spectrum
 
 LAW_RINGS = [
     "Zn(8)",
@@ -25,7 +25,7 @@ LAW_RINGS = [
 def _setup(text):
     ring = build_ring(parse_ring_spec(text))
     lattice = enumerate_ideals(ring)
-    return ring, lattice, build_spectrum(lattice, "primary")
+    return ring, lattice, Spectrum(lattice, "primary")
 
 
 def _pos(spectrum, members):
@@ -56,22 +56,22 @@ def test_prim_z6_discrete():
 
 def test_prime_spectrum_examples():
     ring, lat, _ = _setup("Zn(8)")
-    spec = build_spectrum(lat, "prime")
+    spec = Spectrum(lat, "prime")
     assert len(spec.points) == 1
     i4 = lat.id_by_mask[mask_of([0, 4])]
     assert spec.variety(i4) == 0b1
     ring6, lat6, _ = _setup("Zn(6)")
-    spec6 = build_spectrum(lat6, "prime")
+    spec6 = Spectrum(lat6, "prime")
     assert spec6.variety(lat6.zero_id) == spec6.all_points()
     assert spec6.variety(lat6.unit_id) == 0
     _, latg, _ = _setup("Quot(Zn(4), x^2+x+1)")
-    assert len(build_spectrum(latg, "prime").points) == 1
+    assert len(Spectrum(latg, "prime").points) == 1
 
 
 def test_kind_mismatch_raises():
     _, lat, _ = _setup("Zn(6)")
     with pytest.raises(ValueError):
-        build_spectrum(lat, "maximal")
+        Spectrum(lat, "maximal")
 
 
 def test_basic_open_examples():
@@ -112,7 +112,7 @@ def test_is_base():
         _, _, prim = _setup(text)
         assert prim.is_base() == (True, None)
     _, lat30, _ = _setup("Zn(30)")
-    assert build_spectrum(lat30, "prime").is_base() == (True, None)
+    assert Spectrum(lat30, "prime").is_base() == (True, None)
 
 
 @pytest.mark.parametrize("text", LAW_RINGS)

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from oracles import least_superset
 
 from primspec.classify import analyze_ring
 from primspec.ideals import iter_bits, mask_of
@@ -87,6 +88,21 @@ def test_axiom_validation():
         FiniteTopology(2, [0, 0b01, 0b10])
     with pytest.raises(TopologyAxiomError):
         FiniteTopology(1, [0, 0b1, 1 << 3])
+
+
+def _closures_match_the_scan(topo):
+    for y in range(1 << topo.point_count):
+        expected = topo.closed_sets[least_superset(topo.closed_sets, y)]
+        assert topo.closure(y) == expected, (topo.closed_sets, y)
+    assert topo.point_closures() == [topo.closure(1 << x) for x in range(topo.point_count)]
+
+
+def test_closure_matches_the_least_superset_scan(corpus_analyses):
+    for topo in RANDOM_TOPOLOGIES + [SIERPINSKI, DISCRETE2, INDISCRETE3, POINT]:
+        _closures_match_the_scan(topo)
+    for text, a in corpus_analyses.items():
+        assert len(a.prim.points) <= 10, text
+        _closures_match_the_scan(a.prim.topology)
 
 
 def test_separation_examples():
