@@ -29,8 +29,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-# a 1024-element ring of each constructor, a CRT split, and GF(2)^7 and
-# GF(2)^9, whose every ideal is principal (128 and 512 ideals)
+# a 1024-element ring of each constructor, a CRT split, and GF(2)^7,
+# GF(2)^9 and GF(2)^10, whose every ideal is principal (128, 512 and 1024
+# ideals, the last the most of any ring the default cap admits)
 SCALE_CORPUS = [
     "Zn(1024)",
     "GF(2^10)",
@@ -39,6 +40,7 @@ SCALE_CORPUS = [
     "Zn(720)",
     "Prod(GF(2), " * 6 + "GF(2)" + ")" * 6,
     "Prod(GF(2), " * 8 + "GF(2)" + ")" * 8,
+    "Prod(GF(2), " * 9 + "GF(2)" + ")" * 9,
 ]
 
 _EXPORT = "import sys; from primspec.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -28,6 +28,13 @@ one lookup per entry: a + (m + p) = (a + m) + p, and a(m + p) = am + ap,
 where ap is read off the row of p, itself filled from the principal ideals
 R*gh of the products of two generators.  Generating sets are folds over
 the sum table, through each element's principal id R*g.
+
+The order of the lattice is kept as one cover relation, read off the same
+columns without the sum table.  If J covers I, take a join-irreducible p
+below J and not below I: then I < I + p <= J, so J = I + p.  The upper
+covers of I are therefore the minimal sums I + p other than I, at most
+|J(L)|^2 mask tests per ideal.  The maximal ideals are the ideals whose one
+upper cover is R, and the Hasse diagram draws the relation as it stands.
 """
 
 from __future__ import annotations
@@ -112,7 +119,12 @@ def _radical_mask(ring: FiniteRing, mask: int) -> int:
 
 
 class IdealLattice:
-    """All ideals of a finite ring, with prime/maximal/primary flags."""
+    """All ideals of a finite ring, with prime/maximal/primary flags.
+
+    ``upper_covers[i]`` lists, in ascending id order, the ideals that cover
+    ideal i: the minimal members of {i + p : p join-irreducible} other than
+    i, read off the join-irreducibles' columns.  A proper ideal is maximal
+    exactly when its only upper cover is the unit ideal."""
 
     def __init__(
         self,
@@ -150,7 +162,11 @@ class IdealLattice:
         full = (1 << ring.size) - 1
         self.proper = [m != full for m in self.masks]
         self.radical_ids = [self.id_by_mask[_radical_mask(ring, m)] for m in self.masks]
-        self.maximal = [self._is_maximal(i) for i in range(len(self.masks))]
+        self.upper_covers = [self._upper_covers(i) for i in range(len(self.masks))]
+        self.maximal = [
+            proper and covers == [self.unit_id]
+            for proper, covers in zip(self.proper, self.upper_covers)
+        ]
         non_units = 0
         for m, flag in zip(self.masks, self.maximal):
             if flag:
@@ -179,14 +195,16 @@ class IdealLattice:
     def id_of(self, mask: int) -> int:
         return self.id_by_mask[mask]
 
-    def _is_maximal(self, i: int) -> bool:
-        if not self.proper[i]:
-            return False
-        mask = self.masks[i]
-        for j, other in enumerate(self.masks):
-            if j != i and self.proper[j] and other | mask == other:
-                return False
-        return True
+    def _upper_covers(self, i: int) -> list[int]:
+        """The minimal sums i + p over the join-irreducibles p, other than i.
+        Ids ascend with size, so a sum strictly inside j comes before j,
+        and j is minimal when no cover kept so far lies inside it."""
+        masks = self.masks
+        covers: list[int] = []
+        for j in sorted({column[i] for column in self._join_columns} - {i}):
+            if all(masks[c] & ~masks[j] for c in covers):
+                covers.append(j)
+        return covers
 
     def _is_primary(self, i: int, non_units: int) -> bool:
         """Whether rs in Q, r outside Q, forces s into rad(Q).
@@ -242,15 +260,6 @@ class IdealLattice:
                 self._tree_row(0, [sums[row[a]] for row in join_rows]) for a in range(len(self))
             ]
         return self._products
-
-    def sum_id(self, a: int, b: int) -> int:
-        return self.sum_table()[a][b]
-
-    def product_id(self, a: int, b: int) -> int:
-        return self.product_table()[a][b]
-
-    def intersection_id(self, a: int, b: int) -> int:
-        return self.id_by_mask[self.mask(a) & self.mask(b)]
 
     def radical_id(self, a: int) -> int:
         return self.radical_ids[a]

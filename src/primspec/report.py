@@ -88,21 +88,14 @@ def build_report(
 
 
 def dot_ideal_lattice(lattice: IdealLattice) -> str:
-    """Hasse diagram of ideal inclusion, smaller ideal pointing to the
-    covering larger one."""
-    n = len(lattice)
-    contains = [
-        [i != j and lattice.contains_ideal(i, j) for j in range(n)] for i in range(n)
-    ]
+    """Hasse diagram of ideal inclusion: one edge from each ideal to each of
+    its upper covers (``IdealLattice.upper_covers``)."""
     lines = ["digraph ideal_lattice {", "  rankdir=BT;"]
-    for i in range(n):
+    for i in range(len(lattice)):
         lines.append(f'  n{i} [label="{lattice.render(i)}"];')
-    for i in range(n):
-        for j in range(n):
-            if contains[i][j] and not any(
-                contains[i][k] and contains[k][j] for k in range(n)
-            ):
-                lines.append(f"  n{i} -> n{j};")
+    for i, covers in enumerate(lattice.upper_covers):
+        for j in covers:
+            lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

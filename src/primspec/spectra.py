@@ -61,12 +61,8 @@ class Spectrum:
         """Closed set of an arbitrary element subset, straight from the definition."""
         return self._variety_of_mask(mask_of(elements))
 
-    def basic_open(self, r: int) -> int:
-        """Complement of the variety of a single element."""
-        return self.basic_opens()[r]
-
     def basic_opens(self) -> list[int]:
-        """The basic open of every element, computed once."""
+        """The basic open of every element, its variety's complement, once."""
         if self._element_opens is None:
             full = self.topology.full
             self._element_opens = [

@@ -138,3 +138,43 @@ def subcover_by_factoring(r: int, s_values: list[int]) -> SubcoverCertificate:
         exponent=exponent,
         coefficients=tuple(scale * c for c in coeffs),
     )
+
+
+def is_maximal_by_scan(lattice, i: int) -> bool:
+    """Slow oracle: ideal i is proper and lies in no other proper ideal, by
+    a scan of every ideal."""
+    if not lattice.proper[i]:
+        return False
+    mask = lattice.masks[i]
+    for j, other in enumerate(lattice.masks):
+        if j != i and lattice.proper[j] and other | mask == other:
+            return False
+    return True
+
+
+def upper_covers_by_scan(lattice) -> list[list[int]]:
+    """Slow oracle: j covers i when i is strictly inside j and no ideal lies
+    strictly between them, by a scan of every triple of ideals."""
+    n = len(lattice)
+    contains = [[i != j and lattice.contains_ideal(i, j) for j in range(n)] for i in range(n)]
+    return [
+        [
+            j
+            for j in range(n)
+            if contains[i][j] and not any(contains[i][k] and contains[k][j] for k in range(n))
+        ]
+        for i in range(n)
+    ]
+
+
+def dot_ideal_lattice_by_scan(lattice) -> str:
+    """The Hasse diagram ``report.dot_ideal_lattice`` draws, with its edges
+    from ``upper_covers_by_scan``."""
+    lines = ["digraph ideal_lattice {", "  rankdir=BT;"]
+    for i in range(len(lattice)):
+        lines.append(f'  n{i} [label="{lattice.render(i)}"];')
+    for i, covers in enumerate(upper_covers_by_scan(lattice)):
+        for j in covers:
+            lines.append(f"  n{i} -> n{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -385,3 +385,15 @@ def test_criterion_18_symbolic_factorization_at_64_bits():
     for n, got in zip(values, results):
         assert got == sorted(sympy.factorint(n).items()), n
     _verdict(18, "15 semiprimes above 10^6 and 15 random 62-bit integers factored within 1 s")
+
+
+def test_criterion_19_boolean_lattice_hasse_diagram_at_the_cap(capsys):
+    # the Hasse diagram of GF(2)^10's 1024 ideals: each ideal is covered by
+    # adding one of the factors it lacks, 10 * 2^9 edges; within 5 s
+    with _timed(5.0):
+        code = main(["export", "Prod(GF(2), " * 9 + "GF(2)" + ")" * 9, "--graph", "ideal-lattice"])
+        out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("label=") == 1024
+    assert out.count(" -> ") == 5120
+    _verdict(19, "GF(2)^10: Hasse diagram of 1024 ideals exported within 5 s")

@@ -5,7 +5,13 @@ import random
 from collections import deque
 
 import pytest
-from oracles import ideal_generated_by, least_superset
+from oracles import (
+    dot_ideal_lattice_by_scan,
+    ideal_generated_by,
+    is_maximal_by_scan,
+    least_superset,
+    upper_covers_by_scan,
+)
 
 from primspec.corpus import DEFAULT_CORPUS
 from primspec.ideals import (
@@ -16,6 +22,7 @@ from primspec.ideals import (
     iter_bits,
     mask_of,
 )
+from primspec.report import dot_ideal_lattice
 from primspec.rings import (
     CapExceededError,
     FiniteRing,
@@ -118,12 +125,12 @@ def test_ideal_cap_fires_exactly_above_the_lattice_size(text):
 def test_arithmetic_examples():
     lat = _lattice("Zn(12)")
     i4, i3 = _id(lat, [0, 4, 8]), _id(lat, [0, 3, 6, 9])
-    assert lat.product_id(i4, i3) == lat.zero_id
-    assert lat.intersection_id(i4, i3) == lat.zero_id
-    assert lat.sum_id(i4, i3) == lat.unit_id
+    assert lat.product_table()[i4][i3] == lat.zero_id
+    assert lat.id_of(lat.mask(i4) & lat.mask(i3)) == lat.zero_id
+    assert lat.sum_table()[i4][i3] == lat.unit_id
     lat6 = _lattice("Zn(6)")
     i2, i3 = _id(lat6, [0, 2, 4]), _id(lat6, [0, 3])
-    assert lat6.intersection_id(i2, i3) == lat6.zero_id
+    assert lat6.id_of(lat6.mask(i2) & lat6.mask(i3)) == lat6.zero_id
 
 
 def test_radical_examples():
@@ -186,11 +193,11 @@ def test_flag_sanity_chain(text):
 @pytest.mark.parametrize("text", CHECK_RINGS)
 def test_radical_laws_exhaustive(text):
     lat = _lattice(text)
-    rad = lat.radical_ids
+    rad, products = lat.radical_ids, lat.product_table()
     for i, j in itertools.product(range(len(lat)), repeat=2):
         meet_rad = lat.mask(rad[i]) & lat.mask(rad[j])
-        assert lat.mask(rad[lat.intersection_id(i, j)]) == meet_rad
-        assert lat.mask(rad[lat.product_id(i, j)]) == meet_rad
+        assert lat.mask(rad[lat.id_of(lat.mask(i) & lat.mask(j))]) == meet_rad
+        assert lat.mask(rad[products[i][j]]) == meet_rad
         if lat.contains_ideal(i, j):
             assert lat.contains_ideal(rad[i], rad[j])
     for i in range(len(lat)):
@@ -294,11 +301,12 @@ def test_sums_of_principal_ideals_agree_with_closure_oracle(text):
         assert ideal_generated_by(ring, gens) == expected, gens
         assert _generated(lat, gens) == expected, gens
 
+    sums, products = lat.sum_table(), lat.product_table()
     for i, j in itertools.product(range(len(lat)), repeat=2):
         expected = _closure_of_products(ring, iter_bits(lat.mask(i)), list(iter_bits(lat.mask(j))))
-        assert lat.mask(lat.product_id(i, j)) == expected, (lat.render(i), lat.render(j))
+        assert lat.mask(products[i][j]) == expected, (lat.render(i), lat.render(j))
         expected = _additive_closure(ring, lat.mask(i) | lat.mask(j))
-        assert lat.mask(lat.sum_id(i, j)) == expected, (lat.render(i), lat.render(j))
+        assert lat.mask(sums[i][j]) == expected, (lat.render(i), lat.render(j))
 
 
 def _pairwise_sum_mask(ring, a, b):
@@ -428,10 +436,11 @@ def _product_mask(ring, a, b):
 
 
 def _assert_sums_and_products_agree(ring, lat):
+    sums, products = lat.sum_table(), lat.product_table()
     for i, j in itertools.product(range(len(lat)), repeat=2):
         a, b = lat.mask(i), lat.mask(j)
-        assert lat.mask(lat.sum_id(i, j)) == _pairwise_sum_mask(ring, a, b), (i, j)
-        assert lat.mask(lat.product_id(i, j)) == _product_mask(ring, a, b), (i, j)
+        assert lat.mask(sums[i][j]) == _pairwise_sum_mask(ring, a, b), (i, j)
+        assert lat.mask(products[i][j]) == _product_mask(ring, a, b), (i, j)
 
 
 @pytest.mark.parametrize("text", LATTICE_RINGS)
@@ -521,7 +530,7 @@ def test_product_is_a_sum_of_multiples_not_their_union():
     expected = _additive_closure(ring, products)
     assert products != expected
     assert expected == ideal_generated_by(ring, [index("4"), index("2x"), index("x^2")])
-    assert lat.mask(lat.product_id(m, m)) == expected
+    assert lat.mask(lat.product_table()[m][m]) == expected
 
 
 def _is_prime_by_elements(lattice, i):
@@ -563,5 +572,52 @@ def _is_primary_by_elements(lattice, i):
 def test_prime_and_primary_flags_agree_with_element_pair_scans(text):
     lat = _lattice(text)
     for i in range(len(lat)):
+        assert lat.maximal[i] == is_maximal_by_scan(lat, i), lat.render(i)
         assert lat.prime[i] == _is_prime_by_elements(lat, i), lat.render(i)
         assert lat.primary[i] == _is_primary_by_elements(lat, i), lat.render(i)
+
+
+# -- the cover relation against the pair and triple scans -------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    list(DEFAULT_CORPUS)
+    + [
+        "Zn(720)",
+        "Quot(Zn(4), x^5)",
+        "Quot(Zn(8), x^3+2x)",
+        # a ring that is no Prod but splits into local factors
+        "Quot(Zn(2), x^10+x)",
+        "Zn(1024)",
+        # 448 ideals, neither all principal nor a chain
+        "Prod(Quot(Zn(4), x^2), " + "Prod(GF(2), " * 5 + "GF(2)" + ")" * 6,
+    ],
+)
+def test_upper_covers_and_maximal_flags_agree_with_scans(text):
+    lat = _lattice(text)
+    assert lat.upper_covers == upper_covers_by_scan(lat)
+    for i in range(len(lat)):
+        assert lat.maximal[i] == is_maximal_by_scan(lat, i), lat.render(i)
+    assert dot_ideal_lattice(lat) == dot_ideal_lattice_by_scan(lat)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_boolean_lattice_covers_add_one_factor(k):
+    # the ideals of GF(2)^k are the 2^k subsets of its factors, and each
+    # one is covered by adding one factor it lacks: k 2^(k-1) edges
+    lat = _lattice("Prod(GF(2), " * (k - 1) + "GF(2)" + ")" * (k - 1))
+    assert sum(len(covers) for covers in lat.upper_covers) == k * 2 ** (k - 1)
+    for i, covers in enumerate(lat.upper_covers):
+        # the ideal of s factors has 2^s elements
+        factors = lat.mask(i).bit_count().bit_length() - 1
+        assert len(covers) == k - factors
+
+
+@pytest.mark.parametrize("n", [2, 8, 27, 125, 1024])
+def test_chain_ring_ideals_have_one_upper_cover(n):
+    # the ideals of Zn(p^k) form a chain, so every proper ideal is covered
+    # by the next one and only the last proper ideal is maximal
+    lat = _lattice(f"Zn({n})")
+    assert lat.upper_covers == [[i + 1] for i in range(len(lat) - 1)] + [[]]
+    assert lat.maximal == [i == len(lat) - 2 for i in range(len(lat))]

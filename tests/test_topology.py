@@ -245,8 +245,8 @@ def test_prim_z6_topology_profile():
 def test_quasi_compact_basic_open_subcovers():
     prim = analyze_ring("Zn(12)").prim
     topo = prim.topology
-    x2 = prim.basic_open(2)
-    cover = [prim.basic_open(r) for r in range(12)]
+    cover = prim.basic_opens()
+    x2 = cover[2]
     chosen = is_quasi_compact(topo, x2, cover)
     covered = _union(cover[i] for i in chosen)
     assert x2 & ~covered == 0
