@@ -261,9 +261,6 @@ class IdealLattice:
             ]
         return self._products
 
-    def radical_id(self, a: int) -> int:
-        return self.radical_ids[a]
-
     def nilradical_id(self) -> int:
         return self.radical_ids[self.zero_id]
 

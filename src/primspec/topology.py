@@ -50,10 +50,11 @@ class FiniteTopology:
             raise TopologyAxiomError("missing empty closed set")
         if self.full not in self._closed_set_set:
             raise TopologyAxiomError("missing full closed set")
-        for a in self.closed_sets:
+        # | and & are symmetric and a | a == a & a == a, so unordered pairs suffice
+        for i, a in enumerate(self.closed_sets):
             if a & ~self.full:
                 raise TopologyAxiomError("closed set contains unknown points")
-            for b in self.closed_sets:
+            for b in self.closed_sets[i + 1 :]:
                 if a | b not in self._closed_set_set:
                     raise TopologyAxiomError("family not closed under union")
                 if a & b not in self._closed_set_set:
@@ -120,22 +121,23 @@ def separation_axioms(t: FiniteTopology) -> SeparationResult:
 
 
 def is_irreducible(
-    t: FiniteTopology, subset: int | None = None
+    t: FiniteTopology, closed: int | None = None
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Irreducibility of a subspace (default: the whole space).
+    """Irreducibility of a closed set (default: the whole space).
 
-    Returns the verdict plus, when reducible, two proper relatively-closed
-    subsets covering the subspace.  The empty set is not irreducible.
+    Returns the verdict plus, when reducible, the first pair of proper
+    closed subsets covering it.  The empty set is not irreducible.
     """
-    space = t.full if subset is None else subset
+    space = t.full if closed is None else closed
+    if not t.is_closed(space):
+        raise ValueError("irreducibility is decided for closed sets only")
     if not space:
         return False, None
-    relative = sorted({c & space for c in t.closed_sets}, key=canonical_key)
-    proper = [c for c in relative if c != space]
-    for i, a in enumerate(proper):
-        for b in proper[i + 1 :]:
-            if a | b == space:
-                return False, (a, b)
+    # relative to a closed C the closed sets are those inside C, kept in order
+    proper = [c for c in t.closed_sets if c & ~space == 0 and c != space]
+    for a, b in itertools.combinations(proper, 2):
+        if a | b == space:
+            return False, (a, b)
     return True, None
 
 
@@ -219,7 +221,7 @@ def is_spectral(t: FiniteTopology, candidate_base=None) -> bool:
     family = opens if candidate_base is None else set(candidate_base)
     if not family <= opens:
         return False
-    if any(a & b not in family for a in family for b in family):
+    if any(a & b not in family for a, b in itertools.combinations(family, 2)):
         return False
     return uncovered_open(t, family) is None
 

@@ -3,7 +3,7 @@
 import itertools
 from math import gcd, isqrt
 
-from primspec.ideals import _sum_mask, iter_bits
+from primspec.ideals import _sum_mask, canonical_key, iter_bits
 from primspec.rings import FiniteRing
 from primspec.zsymbolic import (
     NotACoverError,
@@ -41,6 +41,22 @@ def least_superset(family: list[int], subset: int) -> int:
             return i
     stray = list(itertools.islice(iter_bits(subset & ~family[-1]), 5))
     raise ValueError(f"set has bits outside the largest member, lowest {stray}")
+
+
+def is_irreducible_by_relative_scan(t, subset: int | None = None):
+    """Slow oracle: irreducibility of a subspace (default: the whole space)
+    from its relative closed family, rebuilt and sorted canonically; the
+    witness is the first pair of proper members covering the subspace."""
+    space = t.full if subset is None else subset
+    if not space:
+        return False, None
+    relative = sorted({c & space for c in t.closed_sets}, key=canonical_key)
+    proper = [c for c in relative if c != space]
+    for i, a in enumerate(proper):
+        for b in proper[i + 1 :]:
+            if a | b == space:
+                return False, (a, b)
+    return True, None
 
 
 def factorize_by_trial_division(n: int) -> list[tuple[int, int]]:

@@ -397,3 +397,16 @@ def test_criterion_19_boolean_lattice_hasse_diagram_at_the_cap(capsys):
     assert out.count("label=") == 1024
     assert out.count(" -> ") == 5120
     _verdict(19, "GF(2)^10: Hasse diagram of 1024 ideals exported within 5 s")
+
+
+def test_criterion_20_boolean_lattice_export_at_the_cap(capsys):
+    # GF(2)^10 has 1024 ideals, the most of any ring tried under the default
+    # cap, so the exhaustive folds of the theorem suite meet their largest
+    # state spaces; the whole export within 10 s
+    with _timed(10.0) as timer:
+        assert main(["export", "Prod(GF(2), " * 9 + "GF(2)" + ")" * 9]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert report["elements"] == 1024
+    assert len(report["ideals"]) == 1024
+    assert all(entry["pass"] for entry in report["theorems"])
+    _verdict(20, f"GF(2)^10 exported in {timer.elapsed:.2f} s (bound 10 s), every law passing")

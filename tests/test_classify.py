@@ -609,6 +609,15 @@ def test_uniform_exponent_family_verdict_is_the_and_of_its_members(corpus_suite)
     top[5] = 0
     a.ring._top_powers = top
     assert not _uniform_exponent_holds(a, verify_theorems(a))
+    # the radical of (0) read as (0): every member passes A2_original, but
+    # (4) and (3) meet in (0) while their radicals meet in (6)
+    a = analyze_ring("Zn(12)")
+    lat = copy.copy(a.lattice)
+    lat.radical_ids = list(lat.radical_ids)
+    lat.radical_ids[lat.zero_id] = lat.zero_id
+    a = dataclasses.replace(a, lattice=lat)
+    assert all(a_conditions(lat, [i], "A2_original").a2 for i in range(len(lat)))
+    assert not _uniform_exponent_holds(a, verify_theorems(a))
 
 
 def test_basic_open_quasi_compact_names_the_last_failing_element(monkeypatch):

@@ -135,11 +135,11 @@ def test_arithmetic_examples():
 
 def test_radical_examples():
     lat8 = _lattice("Zn(8)")
-    assert lat8.render(lat8.radical_id(_id(lat8, [0, 4]))) == "(2)"
+    assert lat8.render(lat8.radical_ids[_id(lat8, [0, 4])]) == "(2)"
     lat12 = _lattice("Zn(12)")
     i6 = _id(lat12, [0, 6])
-    assert lat12.radical_id(i6) == i6
-    assert lat12.radical_id(lat12.unit_id) == lat12.unit_id
+    assert lat12.radical_ids[i6] == i6
+    assert lat12.radical_ids[lat12.unit_id] == lat12.unit_id
 
 
 def _flags(lattice, i):
@@ -547,7 +547,7 @@ def _is_primary_by_elements(lattice, i):
     ring, mask = lattice.ring, lattice.mask(i)
     if i == lattice.unit_id:
         return False
-    rad = lattice.mask(lattice.radical_id(i))
+    rad = lattice.mask(lattice.radical_ids[i])
     outside_q = [x for x in range(ring.size) if not (mask >> x) & 1]
     outside_rad = [x for x in range(ring.size) if not (rad >> x) & 1]
     return not any(

@@ -5,10 +5,10 @@ import itertools
 import random
 
 import pytest
-from oracles import least_superset
+from oracles import is_irreducible_by_relative_scan, least_superset
 
 from primspec.classify import analyze_ring
-from primspec.ideals import iter_bits, mask_of
+from primspec.ideals import canonical_key, iter_bits, mask_of
 from primspec.topology import (
     CoverageError,
     FiniteTopology,
@@ -90,6 +90,61 @@ def test_axiom_validation():
         FiniteTopology(1, [0, 0b1, 1 << 3])
 
 
+def _first_axiom_error_by_ordered_scan(point_count, family):
+    """The message of the first axiom error a scan over every ordered pair
+    of the canonically sorted family raises, or None."""
+    full = (1 << point_count) - 1
+    members = set(family)
+    if 0 not in members:
+        return "missing empty closed set"
+    if full not in members:
+        return "missing full closed set"
+    for a in sorted(members, key=canonical_key):
+        if a & ~full:
+            return "closed set contains unknown points"
+        for b in sorted(members, key=canonical_key):
+            if a | b not in members:
+                return "family not closed under union"
+            if a & b not in members:
+                return "family not closed under intersection"
+    return None
+
+
+def test_axiom_validation_raises_the_first_error_of_the_ordered_scan():
+    # {0}, {1} without their union; {0,1}, {1,2} without their intersection;
+    # sets past the last point: 0b100 and 0b1100 fail a union first, 0b111
+    # fails only the point range
+    families = [
+        (3, [0, 0b001, 0b010, 0b111]),
+        (3, [0, 0b011, 0b110, 0b111]),
+        (2, [0, 0b01, 0b11, 0b100]),
+        (2, [0, 0b01, 0b10, 0b11, 0b1100]),
+        (2, [0, 0b01, 0b10, 0b11, 0b111]),
+    ]
+    rng = random.Random(17)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        family = {0, (1 << n) - 1}
+        family.update(rng.getrandbits(n + 1) for _ in range(rng.randint(0, 5)))
+        families.append((n, sorted(family)))
+    errors = set()
+    for n, family in families:
+        expected = _first_axiom_error_by_ordered_scan(n, family)
+        try:
+            FiniteTopology(n, family)
+            got = None
+        except TopologyAxiomError as exc:
+            got = str(exc)
+        assert got == expected, (n, family)
+        errors.add(got)
+    assert errors == {
+        None,
+        "closed set contains unknown points",
+        "family not closed under union",
+        "family not closed under intersection",
+    }
+
+
 def _closures_match_the_scan(topo):
     for y in range(1 << topo.point_count):
         expected = topo.closed_sets[least_superset(topo.closed_sets, y)]
@@ -123,6 +178,11 @@ def test_irreducible_examples():
     assert witness is not None and witness[0] | witness[1] == 0b11
     assert is_irreducible(DISCRETE2, 0) == (False, None)
     assert is_irreducible(DISCRETE2, 0b01)[0] is True
+    # only members of the closed family are decided
+    with pytest.raises(ValueError, match="closed sets only"):
+        is_irreducible(SIERPINSKI, 0b10)
+    with pytest.raises(ValueError, match="closed sets only"):
+        is_irreducible(DISCRETE2, 0b100)
 
 
 def test_irreducible_characterizations_agree():
@@ -132,6 +192,17 @@ def test_irreducible_characterizations_agree():
             assert is_irreducible(topo, closed)[0] == irreducible_open_characterization(
                 topo, closed
             )
+
+
+def test_irreducible_matches_the_relative_scan(corpus_analyses):
+    spaces = RANDOM_TOPOLOGIES + [SIERPINSKI, DISCRETE2, INDISCRETE3, POINT]
+    for a in corpus_analyses.values():
+        spaces += [a.prim.topology, a.primes.topology]
+    for topo in spaces:
+        assert is_irreducible(topo) == is_irreducible_by_relative_scan(topo)
+        for closed in topo.closed_sets:
+            expected = is_irreducible_by_relative_scan(topo, closed)
+            assert is_irreducible(topo, closed) == expected, (topo.closed_sets, closed)
 
 
 def test_generic_points_examples():
@@ -150,6 +221,22 @@ def test_sober_and_spectral():
     assert is_sober(POINT) and is_spectral(POINT)
     assert not is_spectral(INDISCRETE3)
     assert is_spectral(DISCRETE2)
+
+
+def test_spectral_base_must_be_closed_under_intersection():
+    # {0} and {1} generate every open of DISCRETE2 but miss their meet
+    assert not is_spectral(DISCRETE2, [0b01, 0b10, 0b11])
+    assert is_spectral(DISCRETE2, [0, 0b01, 0b10, 0b11])
+    rng = random.Random(5)
+    for topo in RANDOM_TOPOLOGIES + [SIERPINSKI, DISCRETE2, POINT]:
+        for _ in range(30):
+            family = [u for u in topo.opens if rng.random() < 0.7]
+            expected = (
+                is_sober(topo)
+                and all(a & b in family for a in family for b in family)
+                and uncovered_open(topo, family) is None
+            )
+            assert is_spectral(topo, family) == expected, (topo.closed_sets, family)
 
 
 def test_base_check_failure_names_the_missed_open(monkeypatch):
