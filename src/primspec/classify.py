@@ -172,22 +172,26 @@ class AConditionsResult:
 
 def _first_failing_fold(start, members, step, holds):
     """Members of a smallest subfamily whose folded state breaks ``holds``,
-    or None.  Walks breadth-first over the states reached from ``start`` by
-    folding in one member at a time; ``step`` must be idempotent and
-    order-free, so every subfamily's state is reached, each state once."""
+    or None.  ``step`` must be idempotent and order-free, so a member whose
+    own state is some state(F0) already reached moves each state(F) to the
+    reached state(F + F0) and is skipped, as in ``enumerate_ideals``.  Only
+    a failure is named, by a breadth-first walk over every member."""
+    states = {start}
+    for m in members:
+        if step(start, m) not in states:
+            states |= {step(s, m) for s in states}
+    if all(map(holds, states)):
+        return None
     paths = {start: ()}
-    frontier = [start]
-    while frontier:
-        reached = []
-        for state in frontier:
-            if not holds(state):
-                return paths[state]
-            for m in members:
-                new = step(state, m)
-                if new not in paths:
-                    paths[new] = paths[state] + (m,)
-                    reached.append(new)
-        frontier = reached
+    queue = [start]
+    for state in queue:
+        if not holds(state):
+            return paths[state]
+        for m in members:
+            new = step(state, m)
+            if new not in paths:
+                paths[new] = paths[state] + (m,)
+                queue.append(new)
     return None
 
 
@@ -209,7 +213,7 @@ def a_conditions(
     full = (1 << ring.size) - 1
     meet = full
     for i in family:
-        meet &= lattice.mask(i)
+        meet &= lattice.masks[i]
     a1 = meet == 1
     if mode == "A2_original":
         # once a^n lands in an ideal all later powers stay, so a uniform
@@ -218,7 +222,7 @@ def a_conditions(
         top = ring.top_powers()
         for a in range(ring.size):
             for i in family:
-                imask = lattice.mask(i)
+                imask = lattice.masks[i]
                 if not (imask >> top[a]) & 1:
                     continue  # a outside the radical of I
                 cur = a
@@ -238,8 +242,8 @@ def a_conditions(
         rad = [lattice.mask(r) for r in lattice.radical_ids]
         gamma = _first_failing_fold(
             (full, full),
-            family,
-            lambda s, i: (s[0] & lattice.mask(i), s[1] & rad[i]),
+            sorted(family, reverse=True),
+            lambda s, i: (s[0] & lattice.masks[i], s[1] & rad[i]),
             lambda s: rad[lattice.id_of(s[0])] == s[1],
         )
         if gamma is None:
@@ -514,19 +518,15 @@ def verify_theorems(
             witness = f"{lattice.render(i)}, {lattice.render(j)}"
     _law(report, "variety-sum-intersection", witness is None, witness)
 
-    # every element set S, folded as (ideal generated by S, variety of S);
-    # elements with the same principal ideal and variety move every state
-    # alike, so one of each suffices
-    reps: dict[tuple[int, int], int] = {}
-    for r in range(ring.size):
-        reps.setdefault((principal[r], prim.variety_of_elements([r])), r)
+    # every element set S, folded as (ideal generated by S, variety of S)
+    element_varieties = [prim.variety_of_elements([r]) for r in range(ring.size)]
     found = _first_failing_fold(
         (lattice.zero_id, all_pts),
-        list(reps),
-        lambda state, pair: (sums[state[0]][pair[0]], state[1] & pair[1]),
+        sorted(range(ring.size), key=principal.__getitem__),
+        lambda state, r: (sums[state[0]][principal[r]], state[1] & element_varieties[r]),
         lambda state: state[1] == varieties[state[0]],
     )
-    witness = None if found is None else f"S={sorted(reps[pair] for pair in found)}"
+    witness = None if found is None else f"S={sorted(found)}"
     _law(report, "variety-generators", found is None, witness)
 
     # i lies in j exactly when i + j is j
@@ -616,8 +616,8 @@ def verify_theorems(
     full = (1 << ring.size) - 1
     gamma = _first_failing_fold(
         (full, full, True),
-        all_ids,
-        lambda st, i: (st[0] & lattice.mask(i), st[1] & rad[i], st[2] and member_a2[i]),
+        all_ids[::-1],
+        lambda st, i: (st[0] & masks[i], st[1] & rad[i], st[2] and member_a2[i]),
         lambda st: st[2] == (rad[lattice.id_of(st[0])] == st[1]),
     )
     witness = None

@@ -1,5 +1,6 @@
 """Slow oracles shared by several test modules."""
 
+import functools
 import itertools
 from math import gcd, isqrt
 
@@ -41,6 +42,21 @@ def least_superset(family: list[int], subset: int) -> int:
             return i
     stray = list(itertools.islice(iter_bits(subset & ~family[-1]), 5))
     raise ValueError(f"set has bits outside the largest member, lowest {stray}")
+
+
+def smallest_failing_folds(start, members, step, holds) -> list[tuple]:
+    """Slow oracle for ``classify._first_failing_fold``: every smallest
+    subfamily of ``members`` whose state, ``start`` folded by ``step`` over
+    it, breaks ``holds``, as tuples in member order; [] if none."""
+    for size in range(len(members) + 1):
+        found = [
+            gamma
+            for gamma in itertools.combinations(members, size)
+            if not holds(functools.reduce(step, gamma, start))
+        ]
+        if found:
+            return found
+    return []
 
 
 def is_irreducible_by_relative_scan(t, subset: int | None = None):

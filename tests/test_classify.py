@@ -3,12 +3,16 @@ and the verification suite."""
 
 import copy
 import dataclasses
+import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from primspec import classify
 from primspec.classify import (
+    _first_failing_fold,
     a_conditions,
     analyze_ring,
     closure_identity_check,
@@ -16,7 +20,7 @@ from primspec.classify import (
     star_condition,
     verify_theorems,
 )
-from oracles import ideal_generated_by
+from oracles import ideal_generated_by, smallest_failing_folds
 from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, parse_ring_spec
 from primspec.spectra import Spectrum
@@ -458,6 +462,65 @@ def test_mode_fold_names_a_smallest_failing_family():
     )
     assert not entry.passed
     assert entry.witness.removesuffix(" disagrees") in smallest
+
+
+def _synthetic_folds(seed):
+    """Seeded (start, members, step, holds) folds: OR and AND over random
+    8-bit masks plus a last member folded from two of them, in ascending,
+    descending and shuffled order.  ``holds`` fails on a few random
+    reachable states, or only on the last member's own state: where the
+    order puts that member after the two, its state is reached first and
+    the member is skipped, yet the member alone is a smallest failing
+    family."""
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(8) for _ in range(7)]
+    for start, step in ((0, int.__or__), (0xFF, int.__and__)):
+        members = masks + [step(*rng.sample(masks, 2))]
+        reachable = sorted(
+            functools.reduce(step, gamma, start)
+            for size in range(len(members) + 1)
+            for gamma in itertools.combinations(members, size)
+        )
+        shuffled = rng.sample(members, len(members))
+        for order in (sorted(members), sorted(members, reverse=True), shuffled):
+            for bad in (set(rng.sample(reachable, rng.randint(0, 3))), {members[-1]}):
+                yield start, order, step, lambda state, bad=bad: state not in bad
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fold_agrees_with_every_subfamily_oracle(seed):
+    for start, members, step, holds in _synthetic_folds(seed):
+        smallest = smallest_failing_folds(start, members, step, holds)
+        found = _first_failing_fold(start, members, step, holds)
+        assert (found is None) == (smallest == []), (start, members)
+        if found is not None:
+            assert len(found) == len(smallest[0]), (start, members, found)
+            assert not holds(functools.reduce(step, found, start))
+            assert not Counter(found) - Counter(members)
+
+
+def test_gf2_10_folds_cost_their_states(monkeypatch):
+    """Each fold over GF(2)^10's 1024 ideals, or its elements or points,
+    steps each member from the start once and each of the 1024 states
+    about once, not every state with every member."""
+    counts = []
+    fold = classify._first_failing_fold
+
+    def counted(start, members, step, holds):
+        counts.append(0)
+
+        def counted_step(state, m):
+            counts[-1] += 1
+            return step(state, m)
+
+        return fold(start, members, counted_step, holds)
+
+    monkeypatch.setattr(classify, "_first_failing_fold", counted)
+    a = analyze_ring("Prod(GF(2), " * 9 + "GF(2)" + ")" * 9)
+    assert verify_theorems(a).all_passed
+    assert a_conditions(a.lattice, list(range(len(a.lattice))), "A2_radical_form").a2
+    assert len(counts) == 4
+    assert max(counts) <= 4 * 1024, counts
 
 
 def test_verify_theorems_z8():
