@@ -9,6 +9,7 @@ independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .ideals import (
     DEFAULT_IDEAL_CAP,
@@ -518,8 +519,10 @@ def verify_theorems(
             witness = f"{lattice.render(i)}, {lattice.render(j)}"
     _law(report, "variety-sum-intersection", witness is None, witness)
 
-    # every element set S, folded as (ideal generated by S, variety of S)
-    element_varieties = [prim.variety_of_elements([r]) for r in range(ring.size)]
+    # every element set S, folded as (ideal generated by S, variety of S);
+    # V({r}) is the complement of r's basic open, which the spectrum reads
+    # off the points, not the lattice
+    element_varieties = [all_pts & ~xr for xr in x]
     found = _first_failing_fold(
         (lattice.zero_id, all_pts),
         sorted(range(ring.size), key=principal.__getitem__),
@@ -566,9 +569,9 @@ def verify_theorems(
         witness = _pair_witness(names, lambda r, s: (x[r] == x[s]) != (rads[r] == rads[s]))
     _law(report, "basic-open-radical-test", witness is None, witness)
 
-    meets = {v: [v & w for w in x] for v in set(x)}
+    meets = {v: tuple([v & w for w in x]) for v in set(x)}
     witness = None
-    if not all(list(map(x.__getitem__, row)) == meets[v] for row, v in zip(ring.mul, x)):
+    if not all(itemgetter(*row)(x) == meets[v] for row, v in zip(ring.mul, x)):
         witness = _pair_witness(names, lambda r, s: x[ring.mul[r][s]] != x[r] & x[s])
     _law(report, "basic-open-product", witness is None, witness)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .zsymbolic import is_probable_prime
 
@@ -506,11 +507,18 @@ def unit_and_nilpotent_flags(ring: FiniteRing, r: int) -> tuple[bool, bool, int 
 
 
 def _build_zn_tables(n: int):
-    # row i of the addition table is 0, 1, ..., n - 1 rotated left by i
+    """Tables of Z/n from slices.  In ``cycle``, 0, 1, ..., n - 1 repeated n
+    times, entry k is k mod n, so row i of the product table is the stepped
+    slice cycle[: i * n : i] (entry j is i*j mod n).  Row i of the addition
+    table is 0, ..., n - 1 rotated left by i, a slice of that list written
+    twice, and the negatives 0, n - 1, ..., 1 are a reversed slice."""
     r = list(range(n))
-    add = [r[i:] + r[:i] for i in range(n)]
-    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
-    neg = [(-i) % n for i in range(n)]
+    cycle = r * n
+    mul = [[0] * n] + [cycle[: i * n : i] for i in range(1, n)]
+    del cycle  # n^2 entries, freed before the addition table is made
+    twice = r * 2
+    add = [twice[i : i + n] for i in range(n)]
+    neg = [0] + r[:0:-1]
     return add, mul, neg
 
 
@@ -542,51 +550,63 @@ def _build_quotient(
     The element c0 + c1 x + ... + c_{d-1} x^{d-1} has index
     idx = c0 + b*(c1 + b*(...)), b the base size, so idx % b is its constant
     coefficient and idx // b the element c1 + c2 x + ... (whose top digit
-    is 0).  Each entry is then a constant number of lookups into entries
-    already built:
+    is 0).  The tables are made from C-level list operations (slices,
+    ``itemgetter`` gathers and ``chain``s of prebuilt blocks), with one
+    interpreted step per entry only in the first B columns of ``mul``:
 
-    - add[a][c] = badd[a % b][c % b] + b*add[a // b][c // b], row 0 the
-      identity; neg[a] = bneg[a % b] + b*neg[a // b].
+    - add: digits add without carry, so the additive group is base^d, and
+      the index t*b^(d-1) + rest is the pair (t, rest) of a product ring:
+      add is ``_by_rows`` applied d - 1 times, from badd.
+    - neg[a] = bneg[a % b] + b*neg[a // b].
     - xshift[a] = x*a shifts the digits up and folds the top digit t back
       through x^d = -(modulus - x^d): with top = b^(d-1) and fold[t] the
-      index of -t*(modulus - x^d),
-      xshift[a] = add[(a % top)*b][fold[a // top]].
-    - mul[a][c] for a scalar c < b is bmul[a % b][c] + b*mul[a // b][c];
-      for c >= b, Horner's rule a*c = a*(c % b) + x*(a*(c // b)) gives
-      mul[a][c] = add[mul[a][c % b]][xshift[mul[a][c // b]]].
+      index of -t*(modulus - x^d), xshift[a] = add[(a % top)*b][fold[a // top]].
+      Its j-fold composite xj[a] = x^j * a is j gathers of xshift.
+    - mul: take j = ceil(d/2) and B = b^j.  The first B columns of row a
+      come from a digit recurrence: mul[a][c] = bmul[a % b][c] +
+      b*mul[a // b][c] for a scalar c < b, and Horner's rule
+      a*c = a*(c % b) + x*(a*(c // b)) gives
+      mul[a][c] = add[mul[a][c % b]][xshift[mul[a][c // b]]] for b <= c < B.
+      An index c + B*h with c < B is the element c + x^j h, so
+      a*(c + x^j h) = x^j (a*h) + a*c and, addition being commutative,
+      mul[a][c + B*h] = add[xj[mul[a][h]]][mul[a][c]]: for each h the next
+      B columns are row xj[mul[a][h]] of add gathered through the first B.
+      Since h < b^(d-j) <= B, mul[a][h] is among those columns.
 
-    Rows are filled in increasing a and columns in increasing c, so every
-    lookup reads a finished row or an earlier column of the current one;
-    the columns of one digit count are made in one pass from those of one
-    digit fewer.
+    Rows are filled in increasing a, so every row read is finished.
     """
     deg = len(modulus) - 1
     b = base.size
     size = b**deg
     top = size // b  # b^(d-1): the indices below it have top digit 0
     badd, bmul, bneg = base.add, base.mul, base.neg
-
-    add = [list(range(size))]
-    for a in range(1, size):
-        low, high = badd[a % b], add[a // b]
-        add.append([x + b * h for h in high[:top] for x in low])
+    add = badd
+    while len(add) < size:
+        add = _by_rows(badd, add, len(add))
     neg = [0]
     for a in range(1, size):
         neg.append(bneg[a % b] + b * neg[a // b])
 
     fold = [
-        sum(bneg[bmul[t][mc]] * b**j for j, mc in enumerate(modulus[:-1])) for t in range(b)
+        sum(bneg[bmul[t][mc]] * b**e for e, mc in enumerate(modulus[:-1])) for t in range(b)
     ]
     xshift = [add[(a % top) * b][fold[a // top]] for a in range(size)]
+    j = (deg + 1) // 2
+    width = b**j  # B, the columns made by the digit recurrence
+    xj = list(range(size))
+    for _ in range(j):
+        xj = itemgetter(*xj)(xshift)
 
     mul = [[0] * size]
     for a in range(1, size):
-        low, high = bmul[a % b], mul[a // b]
-        row = [x + b * h for x, h in zip(low, high)]
+        row = [x + b * h for x, h in zip(bmul[a % b], mul[a // b])]
         scalars = row[:]
-        for k in range(deg - 1):
+        for k in range(j - 1):
             # the columns of k + 2 digits, from those of k + 1 digits
             row += [add[s][xshift[v]] for v in row[b**k : b ** (k + 1)] for s in scalars]
+        gather = itemgetter(*row)
+        for v in row[1 : size // width]:
+            row += gather(add[xj[v]])
         mul.append(row)
 
     names = []
@@ -602,12 +622,19 @@ def _build_quotient(
 def _by_rows(left_table: list[list[int]], right_table: list[list[int]], rs: int):
     """A product-ring table from its factors' tables, the pair (i, j)
     having index i * rs + j: row (i, j) holds left[i][k] * rs + right[j][m]
-    at column (k, m), read from left row i shifted once."""
-    out = []
-    for left_row in left_table:
-        shifted = [x * rs for x in left_row]
-        out += [[a + b for a in shifted for b in right_row] for right_row in right_table]
-    return out
+    at column (k, m).  For each right row j and left value v the block of
+    v * rs + y over y in right[j] is the slice of indices v * rs, ...,
+    v * rs + rs - 1 gathered through right[j], and row (i, j) is the
+    ``chain`` of the blocks of j over the entries v of left[i].  A factor
+    of a spec has at least 2 elements, so every gather yields a tuple."""
+    r = list(range(len(left_table) * rs))
+    slices = [r[v : v + rs] for v in range(0, len(r), rs)]
+    blocks = [list(map(itemgetter(*right_row), slices)) for right_row in right_table]
+    return [
+        list(itertools.chain.from_iterable(map(row_blocks.__getitem__, left_row)))
+        for left_row in left_table
+        for row_blocks in blocks
+    ]
 
 
 def _build_product(left: FiniteRing, right: FiniteRing, label: str, spec) -> FiniteRing:

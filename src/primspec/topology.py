@@ -170,13 +170,10 @@ def is_quasi_compact(t: FiniteTopology, subset: int, cover: list[int]) -> list[i
     """Greedy finite subcover of ``subset`` from ``cover`` (a list of opens).
 
     Returns indices into ``cover``; raises CoverageError when the family
-    does not cover the subset.
+    does not cover the subset.  That happens exactly when no member meets
+    the points left uncovered, and those are then the points of the subset
+    that no member holds.
     """
-    union = 0
-    for c in cover:
-        union |= c
-    if subset & ~union:
-        raise CoverageError(f"family misses points {list(iter_bits(subset & ~union))}")
     remaining = subset
     chosen: list[int] = []
     while remaining:
@@ -185,6 +182,8 @@ def is_quasi_compact(t: FiniteTopology, subset: int, cover: list[int]) -> list[i
             gain = (c & remaining).bit_count()
             if gain > best_gain:
                 best, best_gain = i, gain
+        if best < 0:
+            raise CoverageError(f"family misses points {list(iter_bits(remaining))}")
         chosen.append(best)
         remaining &= ~cover[best]
     return chosen

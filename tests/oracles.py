@@ -5,7 +5,18 @@ import itertools
 from math import gcd, isqrt
 
 from primspec.ideals import _sum_mask, canonical_key, iter_bits
-from primspec.rings import FiniteRing
+from primspec.rings import (
+    FiniteRing,
+    GFSpec,
+    ProdSpec,
+    QuotSpec,
+    ZnSpec,
+    _poly_element_name,
+    find_irreducible_poly,
+    prime_power,
+    spec_characteristic,
+    spec_size,
+)
 from primspec.zsymbolic import (
     NotACoverError,
     SubcoverCertificate,
@@ -210,3 +221,143 @@ def dot_ideal_lattice_by_scan(lattice) -> str:
             lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def zn_tables_by_entry(n: int):
+    """Slow oracle for the Z/n tables: every entry reduced mod n."""
+    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
+    neg = [(-i) % n for i in range(n)]
+    return add, mul, neg
+
+
+def by_rows_by_entry(left_table: list[list[int]], right_table: list[list[int]], rs: int):
+    """Slow oracle for a product-ring table, the pair (i, j) having index
+    i * rs + j: every entry left[i][k] * rs + right[j][m] computed on its
+    own."""
+    out = []
+    for left_row in left_table:
+        shifted = [x * rs for x in left_row]
+        out += [[a + b for a in shifted for b in right_row] for right_row in right_table]
+    return out
+
+
+def polynomial_quotient(base, modulus, var, label, spec):
+    """Slow oracle for the quotient builder: every product multiplied out as
+    a polynomial and reduced by the modulus, n^2 times."""
+    deg = len(modulus) - 1
+    b = base.size
+    size = b**deg
+    coeffs_of = []
+    for idx in range(size):
+        c, i = [], idx
+        for _ in range(deg):
+            c.append(i % b)
+            i //= b
+        coeffs_of.append(c)
+
+    def encode(coeffs):
+        idx = 0
+        for pos in range(deg - 1, -1, -1):
+            idx = idx * b + coeffs[pos]
+        return idx
+
+    badd, bmul, bneg = base.add, base.mul, base.neg
+
+    def reduce(prod):
+        for e in range(len(prod) - 1, deg - 1, -1):
+            c = prod[e]
+            if c:
+                prod[e] = 0
+                shift = e - deg
+                for j in range(deg):
+                    mc = modulus[j]
+                    if mc:
+                        prod[shift + j] = badd[prod[shift + j]][bneg[bmul[c][mc]]]
+        return prod[:deg]
+
+    add = [
+        [encode([badd[x][y] for x, y in zip(ca, coeffs_of[j])]) for j in range(size)]
+        for ca in coeffs_of
+    ]
+    neg = [encode([bneg[x] for x in c]) for c in coeffs_of]
+    mul = []
+    for ca in coeffs_of:
+        row = []
+        for j in range(size):
+            cb = coeffs_of[j]
+            prod = [0] * (2 * deg - 1)
+            for i, ci in enumerate(ca):
+                if ci:
+                    for k, cj in enumerate(cb):
+                        if cj:
+                            prod[i + k] = badd[prod[i + k]][bmul[ci][cj]]
+            row.append(encode(reduce(prod)))
+        mul.append(row)
+    one = encode([base.one_index] + [0] * (deg - 1))
+    names = [_poly_element_name(c, base.element_names, var) for c in coeffs_of]
+    return FiniteRing(size, add, mul, neg, one, label, names, spec)
+
+
+def oracle_ring(spec) -> FiniteRing:
+    """The ring ``build_ring`` makes from ``spec``, from the slow builders
+    alone: ``zn_tables_by_entry`` for Zn and prime fields,
+    ``polynomial_quotient`` for GF and Quot (over the same modulus that
+    ``build_ring`` picks) and ``by_rows_by_entry`` for Prod."""
+    label = str(spec)
+    if isinstance(spec, ZnSpec) or (isinstance(spec, GFSpec) and spec.k == 1):
+        n = spec_size(spec)
+        add, mul, neg = zn_tables_by_entry(n)
+        return FiniteRing(n, add, mul, neg, 1, label, [str(i) for i in range(n)], spec)
+    if isinstance(spec, GFSpec):
+        base = oracle_ring(ZnSpec(spec.p))
+        return polynomial_quotient(base, find_irreducible_poly(spec.p, spec.k), "a", label, spec)
+    if isinstance(spec, QuotSpec):
+        return polynomial_quotient(oracle_ring(spec.base), spec.modulus, "x", label, spec)
+    left, right = oracle_ring(spec.left), oracle_ring(spec.right)
+    rs = right.size
+    add = by_rows_by_entry(left.add, right.add, rs)
+    mul = by_rows_by_entry(left.mul, right.mul, rs)
+    neg = [x * rs + y for x in left.neg for y in right.neg]
+    one = left.one_index * rs + right.one_index
+    names = [f"({a},{b})" for a in left.element_names for b in right.element_names]
+    return FiniteRing(left.size * rs, add, mul, neg, one, label, names, spec)
+
+
+def every_spec(limit: int) -> list:
+    """Every ring spec of at most ``limit`` elements of these kinds, in a
+    fixed order with no randomness:
+
+    - every ``Zn(n)`` and ``GF(q)``;
+    - every ``Quot(base, poly)`` over a Zn or GF base with a monic ``poly``
+      of degree at least 1, its lower coefficients the integers
+      0, ..., char - 1 that a spec string can write;
+    - every ``Prod(left, right)`` whose factors are Zn, GF or Prod specs
+      from this list, nested to any depth."""
+    fields = [GFSpec(*prime_power(q)) for q in range(2, limit + 1) if prime_power(q)]
+    atoms = [ZnSpec(n) for n in range(2, limit + 1)] + fields
+    quotients = []
+    for base in atoms:
+        b, char = spec_size(base), spec_characteristic(base)
+        deg = 1
+        while b**deg <= limit:
+            quotients += [
+                QuotSpec(base, tail + (1,))
+                for tail in itertools.product(range(char), repeat=deg)
+            ]
+            deg += 1
+    factors: dict[int, list] = {}
+    for spec in atoms:
+        factors.setdefault(spec_size(spec), []).append(spec)
+    products = []
+    for size in range(4, limit + 1):
+        made = [
+            ProdSpec(left, right)
+            for ls in range(2, size // 2 + 1)
+            if size % ls == 0
+            for left in factors.get(ls, [])
+            for right in factors.get(size // ls, [])
+        ]
+        factors.setdefault(size, []).extend(made)
+        products += made
+    return atoms + quotients + products

@@ -381,15 +381,17 @@ def test_closure_fold_names_a_smallest_failing_set(monkeypatch):
     assert not ok and witness in smallest
 
 
-def _smallest_generator_failures(a):
+def _smallest_generator_failures(a, variety_of_elements=None):
     """Every smallest element set S whose variety differs from that of the
-    ideal it generates, as sorted lists; [] if none."""
+    ideal it generates, as sorted lists; [] if none.  The variety of S is
+    ``prim.variety_of_elements`` unless another function is given."""
     ring, lat, prim = a.ring, a.lattice, a.prim
+    variety_of_elements = variety_of_elements or prim.variety_of_elements
     for size in range(ring.size + 1):
         found = [
             list(s)
             for s in itertools.combinations(range(ring.size), size)
-            if prim.variety_of_elements(s)
+            if variety_of_elements(s)
             != prim.variety(lat.id_of(ideal_generated_by(ring, s)))
         ]
         if found:
@@ -434,20 +436,42 @@ def test_mode_fold_agrees_with_subfamily_oracle(corpus_suite):
 
 def test_generator_fold_names_a_smallest_failing_set(monkeypatch):
     a = analyze_ring("Zn(12)")
-    true_variety = Spectrum.variety_of_elements
+    full = a.prim.all_points()
+    opens = list(a.prim.basic_opens())
+    # 4 and 8 generate the same ideal; claim their basic opens are full, so
+    # that they cut out no point
+    opens[4] = opens[8] = full
+    monkeypatch.setattr(a.prim, "basic_opens", lambda: opens)
 
-    def variety_of_elements(self, elements):
-        # 4 and 8 generate the same ideal; claim they cut out no point
-        elements = list(elements)
-        if 4 in elements or 8 in elements:
-            return 0
-        return true_variety(self, elements)
+    def variety_of_elements(elements):
+        # V(S) is the meet of the V({r}), each the complement of r's open
+        return functools.reduce(int.__and__, (full & ~opens[r] for r in elements), full)
 
-    monkeypatch.setattr(Spectrum, "variety_of_elements", variety_of_elements)
-    smallest = [f"S={s}" for s in _smallest_generator_failures(a)]
+    smallest = [f"S={s}" for s in _smallest_generator_failures(a, variety_of_elements)]
     assert smallest == ["S=[4]", "S=[8]"]
     entry = verify_theorems(a).entry("variety-generators")
     assert not entry.passed and entry.witness in smallest
+
+
+def test_basic_open_product_names_the_last_failing_pair():
+    a = analyze_ring("Zn(12)")
+    ring = copy.copy(a.ring)
+    ring.mul = [list(row) for row in ring.mul]
+    ring.mul[2][5] = 3  # 2 * 5 is 10, whose open is D(2), not D(3)
+    x = a.prim.basic_opens()
+    failing = [
+        (r, s)
+        for r in range(ring.size)
+        for s in range(ring.size)
+        if x[ring.mul[r][s]] != x[r] & x[s]
+    ]
+    assert failing == [(2, 5)]
+    entry = verify_theorems(dataclasses.replace(a, ring=ring)).entry("basic-open-product")
+    assert not entry.passed
+    assert entry.witness == classify._pair_witness(
+        ring.element_names, lambda r, s: x[ring.mul[r][s]] != x[r] & x[s]
+    )
+    assert entry.witness == "r=2, s=5"
 
 
 def test_mode_fold_names_a_smallest_failing_family():

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import every_spec, oracle_ring
 from test_ideals import POOL_RINGS
 
 from primspec.rings import (
@@ -16,12 +17,11 @@ from primspec.rings import (
     QuotSpec,
     RingSpecError,
     ZnSpec,
-    _poly_element_name,
     build_ring,
     check_ring_axioms,
-    find_irreducible_poly,
     parse_ring_spec,
     prime_power,
+    spec_size,
     unit_and_nilpotent_flags,
 )
 
@@ -240,73 +240,6 @@ def test_quotient_arithmetic_against_residue_oracle():
             assert gr.mul[a][b] == oracle_mul(a, b)
 
 
-def _polynomial_quotient(base, modulus, var, label, spec):
-    """Slow oracle for the quotient builder: every product multiplied out as
-    a polynomial and reduced by the modulus, n^2 times."""
-    deg = len(modulus) - 1
-    b = base.size
-    size = b**deg
-    coeffs_of = []
-    for idx in range(size):
-        c, i = [], idx
-        for _ in range(deg):
-            c.append(i % b)
-            i //= b
-        coeffs_of.append(c)
-
-    def encode(coeffs):
-        idx = 0
-        for pos in range(deg - 1, -1, -1):
-            idx = idx * b + coeffs[pos]
-        return idx
-
-    badd, bmul, bneg = base.add, base.mul, base.neg
-
-    def reduce(prod):
-        for e in range(len(prod) - 1, deg - 1, -1):
-            c = prod[e]
-            if c:
-                prod[e] = 0
-                shift = e - deg
-                for j in range(deg):
-                    mc = modulus[j]
-                    if mc:
-                        prod[shift + j] = badd[prod[shift + j]][bneg[bmul[c][mc]]]
-        return prod[:deg]
-
-    add = [
-        [encode([badd[x][y] for x, y in zip(ca, coeffs_of[j])]) for j in range(size)]
-        for ca in coeffs_of
-    ]
-    neg = [encode([bneg[x] for x in c]) for c in coeffs_of]
-    mul = []
-    for ca in coeffs_of:
-        row = []
-        for j in range(size):
-            cb = coeffs_of[j]
-            prod = [0] * (2 * deg - 1)
-            for i, ci in enumerate(ca):
-                if ci:
-                    for k, cj in enumerate(cb):
-                        if cj:
-                            prod[i + k] = badd[prod[i + k]][bmul[ci][cj]]
-            row.append(encode(reduce(prod)))
-        mul.append(row)
-    one = encode([base.one_index] + [0] * (deg - 1))
-    names = [_poly_element_name(c, base.element_names, var) for c in coeffs_of]
-    return FiniteRing(size, add, mul, neg, one, label, names, spec)
-
-
-def _oracle_quotient(spec):
-    """The GF/Quot ring of ``spec`` built by ``_polynomial_quotient`` on the
-    same base ring and modulus that ``build_ring`` uses."""
-    if isinstance(spec, GFSpec):
-        base, modulus, var = build_ring(ZnSpec(spec.p)), find_irreducible_poly(spec.p, spec.k), "a"
-    else:
-        base, modulus, var = build_ring(spec.base), spec.modulus, "x"
-    return _polynomial_quotient(base, modulus, var, str(spec), spec)
-
-
 # GF/Quot specs of the benchmark's two ring pools, as literals
 _BENCH_POOL_QUOTIENTS = [
     "Quot(Zn(8), x^2+x+1)",
@@ -339,7 +272,7 @@ def test_quotient_tables_match_polynomial_oracle():
         spec = parse_ring_spec(text)
         if isinstance(spec, GFSpec) and spec.k == 1:
             continue  # prime fields are built as Zn tables
-        ring, oracle = build_ring(spec), _oracle_quotient(spec)
+        ring, oracle = build_ring(spec), oracle_ring(spec)
         assert ring.add == oracle.add, text
         assert ring.mul == oracle.mul, text
         assert ring.neg == oracle.neg, text
@@ -360,33 +293,41 @@ def test_quotients_at_the_cap_build_fast_and_satisfy_the_axioms():
         assert check_ring_axioms(ring) == [], ring.label
 
 
-def _index_formula_tables(spec):
-    """Slow oracle: (add, mul, neg) with Zn entries (i + j) % n, (i * j) % n
-    and (-i) % n, and Prod entries left[i][k] * rs + right[j][m] one index
-    at a time; other quotients come from ``build_ring``, which
-    ``test_quotient_tables_match_polynomial_oracle`` checks."""
-    if isinstance(spec, ZnSpec) or (isinstance(spec, GFSpec) and spec.k == 1):
-        n = spec.n if isinstance(spec, ZnSpec) else spec.p
-        add = [[(i + j) % n for j in range(n)] for i in range(n)]
-        mul = [[(i * j) % n for j in range(n)] for i in range(n)]
-        return add, mul, [(-i) % n for i in range(n)]
-    if isinstance(spec, ProdSpec):
-        ladd, lmul, lneg = _index_formula_tables(spec.left)
-        radd, rmul, rneg = _index_formula_tables(spec.right)
-        ls, rs = len(lneg), len(rneg)
-        pairs = [(i, j) for i in range(ls) for j in range(rs)]
-        add = [[ladd[i][k] * rs + radd[j][m] for k, m in pairs] for i, j in pairs]
-        mul = [[lmul[i][k] * rs + rmul[j][m] for k, m in pairs] for i, j in pairs]
-        return add, mul, [lneg[i] * rs + rneg[j] for i, j in pairs]
-    ring = build_ring(spec)
-    return ring.add, ring.mul, ring.neg
-
-
 @pytest.mark.parametrize("text", POOL_RINGS + ["Prod(Zn(32), Zn(32))"])
 def test_zn_and_product_tables_match_index_formula(text):
     spec = parse_ring_spec(text)
-    ring = build_ring(spec)
-    assert (ring.add, ring.mul, ring.neg) == _index_formula_tables(spec)
+    ring, oracle = build_ring(spec), oracle_ring(spec)
+    assert (ring.add, ring.mul, ring.neg) == (oracle.add, oracle.mul, oracle.neg)
+
+
+def test_every_spec_lists_each_kind_once_in_a_fixed_order():
+    specs = every_spec(32)
+    assert specs == every_spec(32)
+    assert len(specs) == len(set(specs)) == 2957
+    texts = [str(spec) for spec in specs]
+    for text in (
+        "Zn(32)",
+        "GF(2^5)",
+        "Quot(Zn(2), x^5+x^2+1)",
+        "Quot(GF(2^2), x^2+x)",
+        "Prod(Zn(2), Prod(GF(2), Prod(Zn(2), Prod(GF(2), Zn(2)))))",
+    ):
+        assert text in texts, text
+    assert all(spec_size(spec) <= 32 for spec in specs)
+
+
+def test_tables_match_the_slow_builders_on_every_spec_up_to_32_elements():
+    for spec in every_spec(32):
+        text = str(spec)
+        assert parse_ring_spec(text) == spec, text
+        ring, oracle = build_ring(spec), oracle_ring(spec)
+        assert ring.add == oracle.add, text
+        assert ring.mul == oracle.mul, text
+        assert ring.neg == oracle.neg, text
+        assert ring.one_index == oracle.one_index, text
+        assert ring.element_names == oracle.element_names, text
+        # rows are lists, as hand-built tables are
+        assert all(type(row) is list for row in ring.add + ring.mul), text
 
 
 def test_unit_and_nilpotent_flags_examples():

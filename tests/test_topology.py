@@ -254,8 +254,10 @@ def test_quasi_compact_greedy():
     cover = [0b01, 0b10, 0b11]
     assert is_quasi_compact(DISCRETE2, full, cover) == [2]
     assert is_quasi_compact(DISCRETE2, 0b01, cover[:2]) == [0]
-    with pytest.raises(CoverageError):
+    with pytest.raises(CoverageError, match=r"^family misses points \[1\]$"):
         is_quasi_compact(DISCRETE2, full, [0b01])
+    with pytest.raises(CoverageError, match=r"^family misses points \[0, 1\]$"):
+        is_quasi_compact(DISCRETE2, full, [])
 
 
 def test_supercompact_examples():
