@@ -30,7 +30,7 @@ from .rings import (
     unit_and_nilpotent_flags,
 )
 from .spectra import Spectrum
-from .topology import is_quasi_compact, is_sober, is_spectral, is_supercompact
+from .topology import CoverageError, is_quasi_compact, is_sober, is_spectral, is_supercompact
 from .topology import is_irreducible as topo_is_irreducible
 from .topology import separation_axioms
 from .zsymbolic import (
@@ -141,7 +141,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text: str):
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -149,8 +149,9 @@ def _emit(args, text: str):
         print(text)
 
 
-def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2))
+def _emit(args, payload, text: str) -> None:
+    """Write ``payload`` as indented JSON under ``--json``, else ``text``."""
+    _write(args, json.dumps(payload, indent=2) if args.json else text)
 
 
 def _analyze(args):
@@ -179,10 +180,7 @@ def cmd_info(args) -> int:
         "is_w_ring": cls.is_w_ring,
         "galois_ring": isinstance(a.spec, QuotSpec) and a.spec.is_galois_ring(),
     }
-    if args.json:
-        _emit_json(args, payload)
-    else:
-        _emit(args, "\n".join(f"{k}: {v}" for k, v in payload.items()))
+    _emit(args, payload, "\n".join(f"{k}: {v}" for k, v in payload.items()))
     return 0
 
 
@@ -201,9 +199,6 @@ def cmd_ideals(args) -> int:
         }
         for i in range(len(lat))
     ]
-    if args.json:
-        _emit_json(args, rows)
-        return 0
     lines = [f"{len(lat)} ideals of {a.ring.label}"]
     for row in rows:
         flags = "".join(
@@ -213,7 +208,7 @@ def cmd_ideals(args) -> int:
         lines.append(
             f"  [{row['id']}] {row['gens']}  {flags}  radical={row['radical']}"
         )
-    _emit(args, "\n".join(lines))
+    _emit(args, rows, "\n".join(lines))
     return 0
 
 
@@ -235,10 +230,7 @@ def cmd_spectrum(args) -> int:
     """``prim`` shows the primary spectrum, ``spec`` the prime one."""
     a = _analyze(args)
     spectrum, title = (a.prim, "Prim") if args.command == "prim" else (a.primes, "Spec")
-    if args.json:
-        _emit_json(args, spectrum_block(spectrum))
-    else:
-        _emit(args, _spectrum_text(spectrum, f"{title}({a.ring.label})"))
+    _emit(args, spectrum_block(spectrum), _spectrum_text(spectrum, f"{title}({a.ring.label})"))
     return 0
 
 
@@ -265,9 +257,11 @@ def cmd_check(args) -> int:
         if not value:
             detail = "covering family " + ", ".join(map(a.prim.render_point_set, wit))
     elif prop == "quasi-compact":
-        chosen = is_quasi_compact(topo, a.prim.all_points(), a.prim.basic_open_family())
-        value = True
-        detail = f"subcover of {len(chosen)} basic opens"
+        try:
+            chosen = is_quasi_compact(topo, a.prim.all_points(), a.prim.basic_open_family())
+            value, detail = True, f"subcover of {len(chosen)} basic opens"
+        except CoverageError as exc:
+            value, detail = False, str(exc)
     elif prop == "base":
         value, wit = a.prim.is_base()
         detail = None if value else f"open {list(iter_bits(wit))} not a union of basics"
@@ -280,8 +274,7 @@ def cmd_check(args) -> int:
     elif prop == "w-ring":
         value, detail = cls.is_w_ring, cls.w_ring_witness
     elif prop == "star":
-        value, wit = star_condition(a.lattice, a.prim)
-        detail = wit
+        value, detail = star_condition(a.lattice, a.prim)
     else:  # a2
         ids = list(range(len(a.lattice)))
         orig = a_conditions(a.lattice, ids, "A2_original")
@@ -289,16 +282,9 @@ def cmd_check(args) -> int:
         value = orig.a2 and radf.a2
         detail = orig.witness or radf.witness
     label = prop.upper() if prop.startswith("t") and len(prop) == 2 else prop
-    if args.json:
-        _emit_json(
-            args,
-            {"spec": str(a.spec), "property": prop, "value": value, "detail": detail},
-        )
-    else:
-        text = f"{label}: {str(value).lower()}"
-        if detail:
-            text += f"  ({detail})"
-        _emit(args, text)
+    text = f"{label}: {str(value).lower()}" + (f"  ({detail})" if detail else "")
+    payload = {"spec": str(a.spec), "property": prop, "value": value, "detail": detail}
+    _emit(args, payload, text)
     return 0 if value else 1
 
 
@@ -317,6 +303,7 @@ def cmd_verify_paper(args) -> int:
     entries = load_corpus(args.corpus, args.max_elements) if args.corpus else default_corpus()
     total_fail = 0
     rows = []
+    lines = []
     for entry in entries:
         report, elapsed = _suite_for_entry(entry, args)
         failed = report.failures()
@@ -328,36 +315,21 @@ def cmd_verify_paper(args) -> int:
                 "spec": entry.spec_text,
                 "passed": passed,
                 "not_applicable": na,
-                "failed": [
-                    {"id": e.entry_id, "witness": e.witness} for e in failed
-                ],
+                "failed": [{"id": e.entry_id, "witness": e.witness} for e in failed],
                 "timing_ms": round(elapsed, 3),
             }
         )
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "corpus_size": len(entries),
-                "all_passed": total_fail == 0,
-                "rings": rows,
-            },
-        )
-    else:
-        lines = []
-        for row in rows:
-            status = "PASS" if not row["failed"] else "FAIL"
-            lines.append(
-                f"{status}  {row['spec']:28s} {row['passed']:3d} passed"
-                + (f", {row['not_applicable']} n/a" if row["not_applicable"] else "")
-            )
-            for failure in row["failed"]:
-                lines.append(f"      failed {failure['id']}: {failure['witness']}")
         lines.append(
-            f"{len(rows)} rings checked, "
-            + ("all entries passed" if total_fail == 0 else f"{total_fail} failures")
+            f"{'FAIL' if failed else 'PASS'}  {entry.spec_text:28s} {passed:3d} passed"
+            + (f", {na} n/a" if na else "")
         )
-        _emit(args, "\n".join(lines))
+        lines += [f"      failed {e.entry_id}: {e.witness}" for e in failed]
+    lines.append(
+        f"{len(rows)} rings checked, "
+        + ("all entries passed" if total_fail == 0 else f"{total_fail} failures")
+    )
+    payload = {"corpus_size": len(entries), "all_passed": total_fail == 0, "rings": rows}
+    _emit(args, payload, "\n".join(lines))
     return 0 if total_fail == 0 else 1
 
 
@@ -365,10 +337,10 @@ def cmd_export(args) -> int:
     started = time.perf_counter()
     a = _analyze(args)
     if args.graph == "ideal-lattice":
-        _emit(args, dot_ideal_lattice(a.lattice))
+        _write(args, dot_ideal_lattice(a.lattice))
         return 0
     if args.graph == "specialization":
-        _emit(args, dot_specialization(a.prim))
+        _write(args, dot_specialization(a.prim))
         return 0
     report = verify_theorems(a)
     payload = build_report(
@@ -379,100 +351,67 @@ def cmd_export(args) -> int:
         max_ideals=args.max_ideals,
         timing_ms=(time.perf_counter() - started) * 1000,
     )
-    _emit_json(args, payload)
+    _write(args, json.dumps(payload, indent=2))
     return 0
 
 
+def _variety_fields(variety) -> dict:
+    return {
+        "all_points": variety.all_points,
+        "families": sorted(variety.families),
+        "includes_zero": variety.includes_zero,
+    }
+
+
+def _z_primary(args) -> ZPrimaryIdeal:
+    """The point (p^k) of Prim(Z), or (0) when p is 0."""
+    return ZPrimaryIdeal(None) if args.p == 0 else ZPrimaryIdeal(args.p, args.k)
+
+
 def cmd_z(args) -> int:
-    if args.zcommand == "vrad":
-        variety = v_rad_z(args.n)
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "n": args.n,
-                    "all_points": variety.all_points,
-                    "families": sorted(variety.families),
-                    "includes_zero": variety.includes_zero,
-                },
-            )
-        else:
-            _emit(args, str(variety))
-        return 0
-    if args.zcommand == "v":
+    command = args.zcommand
+    if command == "vrad":
+        result = v_rad_z(args.n)
+        payload = {"n": args.n, **_variety_fields(result)}
+    elif command == "v":
         primes = v_z(args.n)
-        if args.json:
-            _emit_json(args, {"n": args.n, "primes": primes})
-        elif primes is None:
-            _emit(args, "Spec(Z)")
-        elif primes:
-            _emit(args, "{" + ", ".join(f"({p})" for p in primes) + "}")
+        payload = {"n": args.n, "primes": primes}
+        if primes is None:
+            result = "Spec(Z)"
         else:
-            _emit(args, "∅")
-        return 0
-    if args.zcommand == "closure":
-        ideal = ZPrimaryIdeal(None) if args.p == 0 else ZPrimaryIdeal(args.p, args.k)
-        variety = closure_z(ideal)
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "ideal": str(ideal),
-                    "all_points": variety.all_points,
-                    "families": sorted(variety.families),
-                    "includes_zero": variety.includes_zero,
-                },
-            )
-        else:
-            _emit(args, str(variety))
-        return 0
-    if args.zcommand == "subcover":
+            result = "{" + ", ".join(f"({p})" for p in primes) + "}" if primes else "∅"
+    elif command == "closure":
+        ideal = _z_primary(args)
+        result = closure_z(ideal)
+        payload = {"ideal": str(ideal), **_variety_fields(result)}
+    elif command == "subcover":
         cert = extract_finite_subcover_z(args.r, args.s)
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "r": cert.r,
-                    "delta": list(cert.delta),
-                    "exponent": cert.exponent,
-                    "coefficients": list(cert.coefficients),
-                    "verified": cert.verify(),
-                },
-            )
-        else:
-            _emit(args, f"delta: {list(cert.delta)}\ncertificate: {cert}")
-        return 0
-    if args.zcommand == "a2-witness":
-        witness = a2_failure_witness_z(args.p)
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "p": witness.p,
-                    "radical_of_intersection": str(witness.radical_of_intersection),
-                    "intersection_of_radicals": str(witness.intersection_of_radicals),
-                    "sides_equal": witness.sides_equal,
-                },
-            )
-        else:
-            _emit(args, str(witness))
-        return 0
-    ideal = ZxZPrimaryIdeal(
-        args.side, ZPrimaryIdeal(None) if args.p == 0 else ZPrimaryIdeal(args.p, args.k)
-    )
-    closure = prim_zxz_closure(ideal)
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "ideal": str(ideal),
-                "side": closure.side,
-                "prime": closure.p,
-                "rendered": str(closure),
-            },
-        )
-    else:
-        _emit(args, str(closure))
+        payload = {
+            "r": cert.r,
+            "delta": list(cert.delta),
+            "exponent": cert.exponent,
+            "coefficients": list(cert.coefficients),
+            "verified": cert.verify(),
+        }
+        result = f"delta: {list(cert.delta)}\ncertificate: {cert}"
+    elif command == "a2-witness":
+        result = a2_failure_witness_z(args.p)
+        payload = {
+            "p": result.p,
+            "radical_of_intersection": str(result.radical_of_intersection),
+            "intersection_of_radicals": str(result.intersection_of_radicals),
+            "sides_equal": result.sides_equal,
+        }
+    else:  # zxz-closure
+        ideal = ZxZPrimaryIdeal(args.side, _z_primary(args))
+        result = prim_zxz_closure(ideal)
+        payload = {
+            "ideal": str(ideal),
+            "side": result.side,
+            "prime": result.p,
+            "rendered": str(result),
+        }
+    _emit(args, payload, str(result))
     return 0
 
 

@@ -449,21 +449,6 @@ class FiniteRing:
     def __repr__(self) -> str:
         return f"FiniteRing({self.label}, size={self.size})"
 
-    def pow(self, a: int, exp: int) -> int:
-        """a**exp by square-and-multiply; exp >= 1."""
-        if not 0 <= a < self.size:
-            raise IndexError(f"element index {a} out of range")
-        if exp < 1:
-            raise ValueError("exponent must be at least 1")
-        result = None
-        base = a
-        while exp:
-            if exp & 1:
-                result = base if result is None else self.mul[result][base]
-            base = self.mul[base][base]
-            exp >>= 1
-        return result
-
     def characteristic(self) -> int:
         c, acc = 1, self.one_index
         while acc != 0:
@@ -552,7 +537,7 @@ def _build_quotient(
     coefficient and idx // b the element c1 + c2 x + ... (whose top digit
     is 0).  The tables are made from C-level list operations (slices,
     ``itemgetter`` gathers and ``chain``s of prebuilt blocks), with one
-    interpreted step per entry only in the first B columns of ``mul``:
+    interpreted step per entry only in the first b columns of ``mul``:
 
     - add: digits add without carry, so the additive group is base^d, and
       the index t*b^(d-1) + rest is the pair (t, rest) of a product ring:
@@ -561,17 +546,14 @@ def _build_quotient(
     - xshift[a] = x*a shifts the digits up and folds the top digit t back
       through x^d = -(modulus - x^d): with top = b^(d-1) and fold[t] the
       index of -t*(modulus - x^d), xshift[a] = add[(a % top)*b][fold[a // top]].
-      Its j-fold composite xj[a] = x^j * a is j gathers of xshift.
-    - mul: take j = ceil(d/2) and B = b^j.  The first B columns of row a
-      come from a digit recurrence: mul[a][c] = bmul[a % b][c] +
-      b*mul[a // b][c] for a scalar c < b, and Horner's rule
-      a*c = a*(c % b) + x*(a*(c // b)) gives
-      mul[a][c] = add[mul[a][c % b]][xshift[mul[a][c // b]]] for b <= c < B.
-      An index c + B*h with c < B is the element c + x^j h, so
-      a*(c + x^j h) = x^j (a*h) + a*c and, addition being commutative,
-      mul[a][c + B*h] = add[xj[mul[a][h]]][mul[a][c]]: for each h the next
-      B columns are row xj[mul[a][h]] of add gathered through the first B.
-      Since h < b^(d-j) <= B, mul[a][h] is among those columns.
+      Its k-fold composite xk[a] = x^k * a is k gathers of xshift.
+    - mul: the scalar columns c < b of row a follow the digit recurrence
+      mul[a][c] = bmul[a % b][c] + b*mul[a // b][c].  For k = 1, ..., d-1
+      an index c + b^k*h with c < b^k and a scalar h is the element
+      c + x^k h, so a*(c + x^k h) = x^k (a*h) + a*c and, addition being
+      commutative, mul[a][c + b^k*h] = add[xk[mul[a][h]]][mul[a][c]]: for
+      each scalar h the next b^k columns are row xk[mul[a][h]] of add
+      gathered through the first b^k.
 
     Rows are filled in increasing a, so every row read is finished.
     """
@@ -591,22 +573,19 @@ def _build_quotient(
         sum(bneg[bmul[t][mc]] * b**e for e, mc in enumerate(modulus[:-1])) for t in range(b)
     ]
     xshift = [add[(a % top) * b][fold[a // top]] for a in range(size)]
-    j = (deg + 1) // 2
-    width = b**j  # B, the columns made by the digit recurrence
-    xj = list(range(size))
-    for _ in range(j):
-        xj = itemgetter(*xj)(xshift)
+    xpowers = []  # xk for k = 1, ..., d-1
+    xk = range(size)
+    for _ in range(deg - 1):
+        xk = itemgetter(*xk)(xshift)
+        xpowers.append(xk)
 
     mul = [[0] * size]
     for a in range(1, size):
         row = [x + b * h for x, h in zip(bmul[a % b], mul[a // b])]
-        scalars = row[:]
-        for k in range(j - 1):
-            # the columns of k + 2 digits, from those of k + 1 digits
-            row += [add[s][xshift[v]] for v in row[b**k : b ** (k + 1)] for s in scalars]
-        gather = itemgetter(*row)
-        for v in row[1 : size // width]:
-            row += gather(add[xj[v]])
+        for xk in xpowers:
+            gather = itemgetter(*row)
+            for v in row[1:b]:
+                row += gather(add[xk[v]])
         mul.append(row)
 
     names = []

@@ -10,7 +10,7 @@ ideal.
 
 from __future__ import annotations
 
-from .ideals import IdealLattice, canonical_key, iter_bits, mask_of
+from .ideals import IdealLattice, canonical_key, iter_bits
 from .topology import FiniteTopology, uncovered_open
 
 
@@ -25,7 +25,6 @@ class Spectrum:
         self.kind = kind
         flags = lattice.prime if kind == "prime" else lattice.primary
         self.points = [i for i in range(len(lattice)) if flags[i]]
-        self.position = {ideal_id: pos for pos, ideal_id in enumerate(self.points)}
         if kind == "prime":
             self._point_masks = [lattice.mask(i) for i in self.points]
         else:
@@ -56,10 +55,6 @@ class Spectrum:
     def variety(self, ideal_id: int) -> int:
         """Closed set of an ideal, as a point mask."""
         return self.closed_sets[self.variety_index_by_ideal[ideal_id]]
-
-    def variety_of_elements(self, elements) -> int:
-        """Closed set of an arbitrary element subset, straight from the definition."""
-        return self._variety_of_mask(mask_of(elements))
 
     def basic_opens(self) -> list[int]:
         """The basic open of every element, its variety's complement, once."""

@@ -44,6 +44,26 @@ def ideal_generated_by(ring: FiniteRing, gens) -> int:
     return mask
 
 
+def power(ring: FiniteRing, a: int, exp: int) -> int:
+    """a**exp for exp >= 1, by exp - 1 lookups in the product table."""
+    result = a
+    for _ in range(exp - 1):
+        result = ring.mul[result][a]
+    return result
+
+
+def variety_of_elements(spectrum, elements) -> int:
+    """V(S) = {Q : S inside rad(Q)} as a point mask, from the definition
+    (a prime is its own radical, so this serves both spectrum kinds)."""
+    lattice = spectrum.lattice
+    out = 0
+    for pos, q in enumerate(spectrum.points):
+        radical = lattice.mask(lattice.radical_ids[q])
+        if all(radical >> s & 1 for s in elements):
+            out |= 1 << pos
+    return out
+
+
 def least_superset(family: list[int], subset: int) -> int:
     """Index of the least member of ``family`` (ascending by size, closed
     under intersection, ending with the whole set) containing ``subset``,

@@ -20,10 +20,11 @@ from primspec.classify import (
     star_condition,
     verify_theorems,
 )
-from oracles import ideal_generated_by, smallest_failing_folds
-from primspec.ideals import enumerate_ideals, mask_of
-from primspec.rings import build_ring, parse_ring_spec
+from oracles import every_spec, ideal_generated_by, smallest_failing_folds, variety_of_elements
+from primspec.ideals import enumerate_ideals, iter_bits, mask_of
+from primspec.rings import build_ring, check_ring_axioms, parse_ring_spec
 from primspec.spectra import Spectrum
+from primspec.topology import CoverageError
 
 
 def test_classify_examples():
@@ -381,17 +382,18 @@ def test_closure_fold_names_a_smallest_failing_set(monkeypatch):
     assert not ok and witness in smallest
 
 
-def _smallest_generator_failures(a, variety_of_elements=None):
+def _smallest_generator_failures(a, variety=None):
     """Every smallest element set S whose variety differs from that of the
     ideal it generates, as sorted lists; [] if none.  The variety of S is
-    ``prim.variety_of_elements`` unless another function is given."""
+    the definitional ``oracles.variety_of_elements`` unless another
+    function is given."""
     ring, lat, prim = a.ring, a.lattice, a.prim
-    variety_of_elements = variety_of_elements or prim.variety_of_elements
+    variety = variety or functools.partial(variety_of_elements, prim)
     for size in range(ring.size + 1):
         found = [
             list(s)
             for s in itertools.combinations(range(ring.size), size)
-            if variety_of_elements(s)
+            if variety(s)
             != prim.variety(lat.id_of(ideal_generated_by(ring, s)))
         ]
         if found:
@@ -443,11 +445,11 @@ def test_generator_fold_names_a_smallest_failing_set(monkeypatch):
     opens[4] = opens[8] = full
     monkeypatch.setattr(a.prim, "basic_opens", lambda: opens)
 
-    def variety_of_elements(elements):
+    def variety(elements):
         # V(S) is the meet of the V({r}), each the complement of r's open
         return functools.reduce(int.__and__, (full & ~opens[r] for r in elements), full)
 
-    smallest = [f"S={s}" for s in _smallest_generator_failures(a, variety_of_elements)]
+    smallest = [f"S={s}" for s in _smallest_generator_failures(a, variety)]
     assert smallest == ["S=[4]", "S=[8]"]
     entry = verify_theorems(a).entry("variety-generators")
     assert not entry.passed and entry.witness in smallest
@@ -472,6 +474,19 @@ def test_basic_open_product_names_the_last_failing_pair():
         ring.element_names, lambda r, s: x[ring.mul[r][s]] != x[r] & x[s]
     )
     assert entry.witness == "r=2, s=5"
+
+
+def test_missing_cover_fails_the_quasi_compact_laws(monkeypatch):
+    a = analyze_ring("Zn(8)")
+    full = a.prim.all_points()
+    # without the full open, the units' opens have no cover
+    family = [u for u in a.prim.basic_open_family() if u != full]
+    assert family == [0]
+    monkeypatch.setattr(a.prim, "basic_open_family", lambda: family)
+    report = verify_theorems(a)
+    entry = report.entry("basic-open-quasi-compact")
+    assert not entry.passed and entry.witness == "7"
+    assert not report.entry("space-quasi-compact").passed
 
 
 def test_mode_fold_names_a_smallest_failing_family():
@@ -708,10 +723,29 @@ def test_uniform_exponent_family_verdict_is_the_and_of_its_members(corpus_suite)
 
 
 def test_basic_open_quasi_compact_names_the_last_failing_element(monkeypatch):
-    # a cover search that chooses nothing fails every nonempty basic open
+    # a cover search that finds no cover fails every nonempty basic open
     a = analyze_ring("Zn(12)")
-    monkeypatch.setattr("primspec.classify.is_quasi_compact", lambda t, subset, cover: [])
+
+    def no_cover(t, subset, cover):
+        if subset:
+            raise CoverageError(f"family misses points {list(iter_bits(subset))}")
+        return []
+
+    monkeypatch.setattr("primspec.classify.is_quasi_compact", no_cover)
     x = a.prim.basic_opens()
     last = max(r for r in range(a.ring.size) if x[r])
     entry = verify_theorems(a).entry("basic-open-quasi-compact")
     assert (entry.passed, entry.witness) == (False, a.ring.element_names[last])
+
+
+def test_every_law_holds_on_every_spec_up_to_32_elements():
+    non_w = []
+    for spec in every_spec(32):
+        a = analyze_ring(spec)
+        assert check_ring_axioms(a.ring) == [], str(spec)
+        failures = verify_theorems(a).failures()
+        assert failures == [], (str(spec), failures)
+        if not a.classification.is_w_ring:
+            non_w.append(str(spec))
+    # the sweep reaches rings that are not W-rings, so that law is exercised
+    assert len(non_w) == 4, non_w

@@ -16,6 +16,7 @@ from primspec import cli
 from primspec.cli import main
 from primspec.corpus import DEFAULT_CORPUS, default_corpus, load_corpus, parse_corpus_lines
 from primspec.rings import RingSpecError, parse_ring_spec
+from primspec.spectra import Spectrum
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -66,6 +67,17 @@ def test_check_matrix(capsys, prop, spec, expected):
     code, out, _ = run(capsys, "check", prop, spec)
     assert code == expected
     assert out.strip()
+
+
+def test_check_quasi_compact_reports_a_missing_cover(capsys, monkeypatch):
+    family = Spectrum.basic_open_family
+    monkeypatch.setattr(
+        Spectrum,
+        "basic_open_family",
+        lambda self: [u for u in family(self) if u != self.all_points()],
+    )
+    code, out, err = run(capsys, "check", "quasi-compact", "Zn(8)")
+    assert (code, out, err) == (1, "quasi-compact: false  (family misses points [0, 1, 2])\n", "")
 
 
 def test_check_json(capsys):
@@ -314,6 +326,61 @@ def test_z_zxz_closure(capsys):
     assert code == 0 and out.strip() == "{(2^n)×Z: n≥1}"
     code, out, _ = run(capsys, "z", "zxz-closure", "right", "5")
     assert out.strip() == "{Z×(5^n): n≥1}"
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["z", "v", "12"], {"n": 12, "primes": [2, 3]}),
+        (
+            ["z", "closure", "2", "3"],
+            {"ideal": "(2^3)", "all_points": False, "families": [2], "includes_zero": False},
+        ),
+        (
+            ["z", "zxz-closure", "left", "2", "3"],
+            {"ideal": "(2^3)×Z", "side": "left", "prime": 2, "rendered": "{(2^n)×Z: n≥1}"},
+        ),
+        (
+            ["info", "Zn(8)"],
+            {
+                "spec": "Zn(8)",
+                "elements": 8,
+                "characteristic": 8,
+                "units": 4,
+                "nilpotents": 4,
+                "ideals": 4,
+                "prim_points": 3,
+                "spec_points": 1,
+                "is_field": False,
+                "is_local": True,
+                "is_p_ring": False,
+                "is_w_ring": True,
+                "galois_ring": False,
+            },
+        ),
+    ],
+)
+def test_json_payloads_pinned(capsys, argv, payload):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_z_v_text_of_zero_and_unit(capsys):
+    assert run(capsys, "z", "v", "0") == (0, "Spec(Z)\n", "")
+    assert run(capsys, "z", "v", "1") == (0, "∅\n", "")
+
+
+@pytest.mark.parametrize("prop", cli.CHECK_PROPERTIES)
+def test_check_json_agrees_with_text_and_exit_code(capsys, prop):
+    code, out, _ = run(capsys, "check", prop, "Zn(8)", "--json")
+    payload = json.loads(out)
+    assert (payload["spec"], payload["property"]) == ("Zn(8)", prop)
+    value, detail = payload["value"], payload["detail"]
+    assert code == (0 if value else 1)
+    label = prop.upper() if prop in ("t0", "t1", "t2") else prop
+    text = f"{label}: {str(value).lower()}" + (f"  ({detail})" if detail else "")
+    assert run(capsys, "check", prop, "Zn(8)") == (code, text + "\n", "")
 
 
 def test_info_and_ideals_text(capsys):

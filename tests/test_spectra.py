@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from oracles import ideal_generated_by
+from oracles import ideal_generated_by, variety_of_elements
 from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, parse_ring_spec, unit_and_nilpotent_flags
 from primspec.spectra import Spectrum
@@ -29,7 +29,7 @@ def _setup(text):
 
 
 def _pos(spectrum, members):
-    return spectrum.position[spectrum.lattice.id_by_mask[mask_of(members)]]
+    return spectrum.points.index(spectrum.lattice.id_by_mask[mask_of(members)])
 
 
 def test_prim_z8():
@@ -50,8 +50,8 @@ def test_prim_z6_discrete():
     assert len(prim.points) == 2
     assert len(prim.closed_sets) == 4
     i2 = lat.id_by_mask[mask_of([0, 2, 4])]
-    assert prim.variety(i2) == 1 << prim.position[i2]
-    assert prim.variety_of_elements({2}) == prim.variety(i2)
+    assert prim.variety(i2) == 1 << prim.points.index(i2)
+    assert variety_of_elements(prim, {2}) == prim.variety(i2)
 
 
 def test_prime_spectrum_examples():
@@ -147,7 +147,7 @@ def test_variety_radical_and_generator_invariance(text):
     for size in range(3):
         for subset in itertools.combinations(range(min(ring.size, 6)), size):
             generated = lat.id_of(ideal_generated_by(ring, subset))
-            assert prim.variety_of_elements(subset) == prim.variety(generated)
+            assert variety_of_elements(prim, subset) == prim.variety(generated)
 
 
 @pytest.mark.parametrize("text", LAW_RINGS)
