@@ -29,9 +29,7 @@ from .rings import (
 )
 from .spectra import Spectrum
 from .topology import (
-    CoverageError,
     is_irreducible,
-    is_quasi_compact,
     is_sober,
     is_spectral,
     is_supercompact,
@@ -148,7 +146,7 @@ def star_condition(
     """
     ring = lattice.ring
     opens = spectrum.basic_opens()
-    full = spectrum.all_points()
+    full = spectrum.full
     others = list(dict.fromkeys(opens[1:]))
     for xr in dict.fromkeys(opens):
         if not xr or xr == full:
@@ -264,7 +262,7 @@ def closure_identity_check(spectrum: Spectrum) -> tuple[bool, str | None]:
     """
     lattice = spectrum.lattice
     masks = [lattice.mask(i) for i in spectrum.points]
-    point_closures = spectrum.topology.point_closures()
+    point_closures = spectrum.point_closures()
     y = _first_failing_fold(
         (0, (1 << lattice.ring.size) - 1),
         range(len(masks)),
@@ -478,10 +476,9 @@ def verify_theorems(
     ring, lattice, prim = a.ring, a.lattice, a.prim
     cls = a.classification
     report = TheoremReport(ring.label)
-    topo = prim.topology
     n_ideals = len(lattice)
-    all_pts = prim.all_points()
-    varieties = [prim.variety(i) for i in range(n_ideals)]
+    all_pts = prim.full
+    varieties = prim.varieties
     x = prim.basic_opens()
     masks, id_by_mask = lattice.masks, lattice.id_by_mask
     sums, products = lattice.sum_table(), lattice.product_table()
@@ -582,21 +579,14 @@ def verify_theorems(
             holds, witness = False, names[r]
     _law(report, "basic-open-empty-iff-nilpotent", holds, witness)
 
-    distinct_opens = prim.basic_open_family()
-
-    def greedy_cover_fails(subset):
-        try:
-            is_quasi_compact(topo, subset, distinct_opens)
-        except CoverageError:
-            return True
-        return False
-
-    # one greedy cover per distinct basic open; a failure names the last
-    # element whose open fails
-    failing = {xr for xr in set(x) if greedy_cover_fails(xr)}
-    bad = [names[r] for r in range(ring.size) if x[r] in failing]
+    # a finite family covers a set exactly when the set lies in the family's
+    # union; a failure names the last element whose open is not covered
+    covered = 0
+    for u in prim.basic_open_family():
+        covered |= u
+    bad = [names[r] for r in range(ring.size) if x[r] & ~covered]
     _law(report, "basic-open-quasi-compact", not bad, bad[-1] if bad else None)
-    _law(report, "space-quasi-compact", not greedy_cover_fails(all_pts))
+    _law(report, "space-quasi-compact", all_pts & ~covered == 0)
 
     # star condition ---------------------------------------------------------
     nonzero_primes = [i for i in cls.prime_ideals if lattice.mask(i) != 1]
@@ -653,7 +643,7 @@ def verify_theorems(
         applicable=cls.is_zero_dimensional,
     )
 
-    point_closures = topo.point_closures()
+    point_closures = prim.point_closures()
     holds, witness = True, None
     for pos, ideal_id in enumerate(prim.points):
         if point_closures[pos] != varieties[ideal_id]:
@@ -670,7 +660,7 @@ def verify_theorems(
     _law(report, "specialization-radical-test", holds, witness)
 
     # separation ------------------------------------------------------------
-    sep = separation_axioms(topo)
+    sep = separation_axioms(prim)
     injective = all(
         varieties[i] != varieties[j] for i in prim.points for j in prim.points if i < j
     )
@@ -687,7 +677,7 @@ def verify_theorems(
 
     holds, witness = True, None
     for pos, ideal_id in enumerate(prim.points):
-        if not is_irreducible(topo, varieties[ideal_id])[0]:
+        if not is_irreducible(prim, varieties[ideal_id])[0]:
             holds, witness = False, prim.render_point(pos)
     _law(report, "point-varieties-irreducible", holds, witness)
 
@@ -695,7 +685,7 @@ def verify_theorems(
     _iff(
         report,
         "irreducible-iff-nilradical-primary",
-        is_irreducible(topo)[0],
+        is_irreducible(prim)[0],
         lattice.primary[nil],
     )
 
@@ -703,20 +693,20 @@ def verify_theorems(
         report,
         "t0-iff-sober",
         sep.t0,
-        is_sober(topo),
+        is_sober(prim),
         cls.w_ring_witness,
         applicable=cls.is_w_ring,
     )
     _iff(
         report,
         "spectral-iff-t0",
-        is_spectral(topo, prim.basic_open_family()),
+        is_spectral(prim, prim.basic_open_family()),
         sep.t0,
         cls.w_ring_witness,
         applicable=cls.is_w_ring,
     )
 
-    supercompact, sc_witness = is_supercompact(topo)
+    supercompact, sc_witness = is_supercompact(prim)
     if not supercompact:
         sc_witness = ", ".join(map(prim.render_point_set, sc_witness))
     _iff(

@@ -236,29 +236,28 @@ def cmd_spectrum(args) -> int:
 
 def cmd_check(args) -> int:
     a = _analyze(args)
-    topo = a.prim.topology
     cls = a.classification
     prop = args.property
     detail = None
     if prop in ("t0", "t1", "t2"):
-        sep = separation_axioms(topo)
+        sep = separation_axioms(a.prim)
         value = getattr(sep, prop)
         detail = f"witness {sep.witness}" if not value else None
     elif prop == "sober":
-        value = is_sober(topo)
+        value = is_sober(a.prim)
     elif prop == "spectral":
-        value = is_spectral(topo, a.prim.basic_open_family())
+        value = is_spectral(a.prim, a.prim.basic_open_family())
     elif prop == "irreducible":
-        value, wit = topo_is_irreducible(topo)
+        value, wit = topo_is_irreducible(a.prim)
         if not value:
             detail = "witness " + ", ".join(map(a.prim.render_point_set, wit))
     elif prop == "supercompact":
-        value, wit = is_supercompact(topo)
+        value, wit = is_supercompact(a.prim)
         if not value:
             detail = "covering family " + ", ".join(map(a.prim.render_point_set, wit))
     elif prop == "quasi-compact":
         try:
-            chosen = is_quasi_compact(topo, a.prim.all_points(), a.prim.basic_open_family())
+            chosen = is_quasi_compact(a.prim, a.prim.full, a.prim.basic_open_family())
             value, detail = True, f"subcover of {len(chosen)} basic opens"
         except CoverageError as exc:
             value, detail = False, str(exc)

@@ -17,6 +17,7 @@ multiplication and negation are fully materialized tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -408,8 +409,10 @@ def _fp_is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
+@functools.cache
 def find_irreducible_poly(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible polynomial of degree k over F_p, in lex order."""
+    """First monic irreducible polynomial of degree k over F_p, in lex order;
+    the answer depends on (p, k) alone, so each pair is searched once."""
     for tail in itertools.product(range(p), repeat=k):
         cand = list(tail) + [1]
         if _fp_is_irreducible(cand, p):

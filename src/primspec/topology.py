@@ -170,9 +170,10 @@ def is_quasi_compact(t: FiniteTopology, subset: int, cover: list[int]) -> list[i
     """Greedy finite subcover of ``subset`` from ``cover`` (a list of opens).
 
     Returns indices into ``cover``; raises CoverageError when the family
-    does not cover the subset.  That happens exactly when no member meets
-    the points left uncovered, and those are then the points of the subset
-    that no member holds.
+    does not cover the subset, that is exactly when the subset does not lie
+    in the family's union.  The search then stops where no member meets the
+    points left uncovered, and those are the points of the subset that no
+    member holds.
     """
     remaining = subset
     chosen: list[int] = []
@@ -202,14 +203,10 @@ def uncovered_open(t: FiniteTopology, family) -> int | None:
     return None
 
 
-def is_spectral(t: FiniteTopology, candidate_base=None) -> bool:
-    """Quasi-compact + sober + a base of quasi-compact opens closed under
-    pairwise intersection.
-
-    When ``candidate_base`` is given it is used as the base family;
-    otherwise all opens are used (every open of a finite space is
-    quasi-compact).
-    """
+def is_spectral(t: FiniteTopology, base) -> bool:
+    """Quasi-compact + sober + ``base`` is a base of quasi-compact opens
+    closed under pairwise intersection (every open of a finite space is
+    quasi-compact)."""
     try:
         is_quasi_compact(t, t.full, t.opens)
     except CoverageError:
@@ -217,7 +214,7 @@ def is_spectral(t: FiniteTopology, candidate_base=None) -> bool:
     if not is_sober(t):
         return False
     opens = set(t.opens)
-    family = opens if candidate_base is None else set(candidate_base)
+    family = set(base)
     if not family <= opens:
         return False
     if any(a & b not in family for a, b in itertools.combinations(family, 2)):

@@ -280,10 +280,7 @@ def extract_finite_subcover_z(r: int, s_values: list[int]) -> SubcoverCertificat
         raise NotACoverError(
             "no nonzero covering elements: the zero ideal stays uncovered"
         )
-    g = 0
-    for s in nonzero:
-        g = gcd(g, s)
-    left = _strip(g, r)
+    left = _strip(gcd(*nonzero), r)
     if left != 1:
         p = factorize(left)[0][0]
         raise NotACoverError(
@@ -291,23 +288,18 @@ def extract_finite_subcover_z(r: int, s_values: list[int]) -> SubcoverCertificat
             uncovered_prime=p,
         )
     delta: list[int] = []
+    g_d = 0
     for s in nonzero:
         delta.append(s)
-        g_d = 0
-        for v in delta:
-            g_d = gcd(g_d, v)
+        g_d = gcd(g_d, s)
         if _strip(g_d, r) == 1:
             break
     i = 0
     while i < len(delta):
         rest = delta[:i] + delta[i + 1 :]
-        if rest:
-            g_rest = 0
-            for w in rest:
-                g_rest = gcd(g_rest, w)
-            if _strip(g_rest, r) == 1:
-                delta = rest
-                continue
+        if rest and _strip(gcd(*rest), r) == 1:
+            delta = rest
+            continue
         i += 1
     g_d, coeffs = _bezout_chain(delta)
     exponent = 1

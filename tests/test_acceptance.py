@@ -71,8 +71,8 @@ def test_criterion_01_chain_rings_zn_p_m():
             }
             for i in range(len(lat)):
                 if lat.proper[i]:
-                    assert a.prim.variety(i) == a.prim.all_points()
-                    assert a.primes.variety(i) == a.primes.all_points()
+                    assert a.prim.variety(i) == a.prim.full
+                    assert a.primes.variety(i) == a.primes.full
     _verdict(1, "Zn(8)/Zn(27): Prim, Spec and both variety collapses exact")
 
 
@@ -85,7 +85,7 @@ def test_criterion_02_galois_ring():
         assert [lat.render(i) for i in a.primes.points] == ["(2)"]
         for i in range(len(lat)):
             if lat.proper[i]:
-                assert a.prim.variety(i) == a.prim.all_points()
+                assert a.prim.variety(i) == a.prim.full
     _verdict(2, "GR(4,16): ideals (0),(2),(1); all proper primary; collapses exact")
 
 
@@ -100,7 +100,7 @@ def test_criterion_03_truncated_polynomial_ring():
         proper = [i for i in range(len(lat)) if lat.proper[i]]
         assert sorted(a.prim.points) == proper
         for i in proper:
-            assert a.prim.variety(i) == a.prim.all_points()
+            assert a.prim.variety(i) == a.prim.full
     _verdict(3, "GF(2)[x]/(x^3): full ideal chain; Prim = proper ideals; collapse exact")
 
 
@@ -263,7 +263,7 @@ def _find_isomorphism(r1, r2):
 def test_criterion_11_oracle_equivalences(corpus_analyses):
     checked = 0
     for text, analysis in corpus_analyses.items():
-        topo = analysis.prim.topology
+        topo = analysis.prim
         if len(topo.opens) <= 12:
             assert is_supercompact(topo)[0] == _supercompact_by_cover_enumeration(topo)
             checked += 1

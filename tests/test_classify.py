@@ -21,10 +21,9 @@ from primspec.classify import (
     verify_theorems,
 )
 from oracles import every_spec, ideal_generated_by, smallest_failing_folds, variety_of_elements
-from primspec.ideals import enumerate_ideals, iter_bits, mask_of
+from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, check_ring_axioms, parse_ring_spec
 from primspec.spectra import Spectrum
-from primspec.topology import CoverageError
 
 
 def test_classify_examples():
@@ -201,7 +200,7 @@ def _star_condition_by_elements(lattice, spectrum):
     """Slow oracle: for each r with a proper non-empty X_r, the union of
     X_s over the nonzero s with X_s not containing X_r, one s at a time."""
     ring = lattice.ring
-    opens, full = spectrum.basic_opens(), spectrum.all_points()
+    opens, full = spectrum.basic_opens(), spectrum.full
     for r in range(ring.size):
         xr = opens[r]
         if not xr or xr == full:
@@ -233,7 +232,7 @@ def test_star_condition_witness_matches_scalar_scan_on_corrupted_opens(monkeypat
     a = analyze_ring("Zn(12)")
     opens = list(a.prim.basic_opens())
     failures = 0
-    for r, v in itertools.product(range(len(opens)), range(a.prim.all_points() + 1)):
+    for r, v in itertools.product(range(len(opens)), range(a.prim.full + 1)):
         corrupted = opens[:r] + [v] + opens[r + 1 :]
         monkeypatch.setattr(a.prim, "basic_opens", lambda c=corrupted: c)
         expected = _star_condition_by_elements(a.lattice, a.prim)
@@ -438,7 +437,7 @@ def test_mode_fold_agrees_with_subfamily_oracle(corpus_suite):
 
 def test_generator_fold_names_a_smallest_failing_set(monkeypatch):
     a = analyze_ring("Zn(12)")
-    full = a.prim.all_points()
+    full = a.prim.full
     opens = list(a.prim.basic_opens())
     # 4 and 8 generate the same ideal; claim their basic opens are full, so
     # that they cut out no point
@@ -478,7 +477,7 @@ def test_basic_open_product_names_the_last_failing_pair():
 
 def test_missing_cover_fails_the_quasi_compact_laws(monkeypatch):
     a = analyze_ring("Zn(8)")
-    full = a.prim.all_points()
+    full = a.prim.full
     # without the full open, the units' opens have no cover
     family = [u for u in a.prim.basic_open_family() if u != full]
     assert family == [0]
@@ -587,7 +586,7 @@ def test_verify_theorems_chain_ring():
     assert len(a.prim.points) == 3
     for i in range(len(a.lattice)):
         if a.lattice.proper[i]:
-            assert a.prim.variety(i) == a.prim.all_points()
+            assert a.prim.variety(i) == a.prim.full
 
 
 def test_verify_theorems_not_applicable_for_non_w_ring():
@@ -659,7 +658,7 @@ def test_row_wise_basic_open_laws_name_the_scalar_witness(monkeypatch, r, corrup
     ring, lat = a.ring, a.lattice
     original = Spectrum.basic_opens
     opens = list(original(a.prim))
-    opens[r] = corrupt(opens[r], a.prim.all_points())
+    opens[r] = corrupt(opens[r], a.prim.full)
     monkeypatch.setattr(
         Spectrum, "basic_opens", lambda self: opens if self is a.prim else original(self)
     )
@@ -723,15 +722,9 @@ def test_uniform_exponent_family_verdict_is_the_and_of_its_members(corpus_suite)
 
 
 def test_basic_open_quasi_compact_names_the_last_failing_element(monkeypatch):
-    # a cover search that finds no cover fails every nonempty basic open
+    # a family whose union is empty covers no nonempty basic open
     a = analyze_ring("Zn(12)")
-
-    def no_cover(t, subset, cover):
-        if subset:
-            raise CoverageError(f"family misses points {list(iter_bits(subset))}")
-        return []
-
-    monkeypatch.setattr("primspec.classify.is_quasi_compact", no_cover)
+    monkeypatch.setattr(a.prim, "basic_open_family", lambda: [0])
     x = a.prim.basic_opens()
     last = max(r for r in range(a.ring.size) if x[r])
     entry = verify_theorems(a).entry("basic-open-quasi-compact")

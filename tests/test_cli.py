@@ -74,7 +74,7 @@ def test_check_quasi_compact_reports_a_missing_cover(capsys, monkeypatch):
     monkeypatch.setattr(
         Spectrum,
         "basic_open_family",
-        lambda self: [u for u in family(self) if u != self.all_points()],
+        lambda self: [u for u in family(self) if u != self.full],
     )
     code, out, err = run(capsys, "check", "quasi-compact", "Zn(8)")
     assert (code, out, err) == (1, "quasi-compact: false  (family misses points [0, 1, 2])\n", "")

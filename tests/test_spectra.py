@@ -35,14 +35,14 @@ def _pos(spectrum, members):
 def test_prim_z8():
     ring, lat, prim = _setup("Zn(8)")
     assert [prim.render_point(p) for p in range(3)] == ["(0)", "(4)", "(2)"]
-    assert prim.closed_sets == [0, prim.all_points()]
+    assert prim.closed_sets == [0, prim.full]
     i4 = lat.id_by_mask[mask_of([0, 4])]
-    assert prim.variety(i4) == prim.all_points()
+    assert prim.variety(i4) == prim.full
     assert prim.variety(lat.unit_id) == 0
     # every proper ideal cuts out the whole space
     for i in range(len(lat)):
         if lat.proper[i]:
-            assert prim.variety(i) == prim.all_points()
+            assert prim.variety(i) == prim.full
 
 
 def test_prim_z6_discrete():
@@ -62,7 +62,7 @@ def test_prime_spectrum_examples():
     assert spec.variety(i4) == 0b1
     ring6, lat6, _ = _setup("Zn(6)")
     spec6 = Spectrum(lat6, "prime")
-    assert spec6.variety(lat6.zero_id) == spec6.all_points()
+    assert spec6.variety(lat6.zero_id) == spec6.full
     assert spec6.variety(lat6.unit_id) == 0
     _, latg, _ = _setup("Quot(Zn(4), x^2+x+1)")
     assert len(Spectrum(latg, "prime").points) == 1
@@ -76,7 +76,7 @@ def test_kind_mismatch_raises():
 
 def test_basic_open_examples():
     ring, lat, prim = _setup("Zn(8)")
-    assert prim.basic_opens()[ring.one_index] == prim.all_points()
+    assert prim.basic_opens()[ring.one_index] == prim.full
     assert prim.basic_opens()[2] == 0
     ring6, lat6, prim6 = _setup("Zn(6)")
     assert prim6.basic_opens()[2] == 1 << _pos(prim6, [0, 3])
@@ -94,7 +94,7 @@ def test_xi_examples():
 
 def test_closure_examples():
     ring, lat, prim = _setup("Zn(8)")
-    assert prim.closure(1 << _pos(prim, [0, 4])) == prim.all_points()
+    assert prim.closure(1 << _pos(prim, [0, 4])) == prim.full
     assert prim.closure(0) == 0
     ring6, lat6, prim6 = _setup("Zn(6)")
     single = 1 << _pos(prim6, [0, 2, 4])
@@ -118,7 +118,7 @@ def test_is_base():
 @pytest.mark.parametrize("text", LAW_RINGS)
 def test_variety_extremes(text):
     _, lat, prim = _setup(text)
-    assert prim.variety(lat.zero_id) == prim.all_points()
+    assert prim.variety(lat.zero_id) == prim.full
     assert prim.variety(lat.unit_id) == 0
 
 
@@ -141,9 +141,8 @@ def test_variety_radical_and_generator_invariance(text):
     ring, lat, prim = _setup(text)
     for i in range(len(lat)):
         assert prim.variety(i) == prim.variety(lat.radical_ids[i])
-        assert prim.variety_index_by_ideal[i] == prim.variety_index_by_ideal[
-            lat.radical_ids[i]
-        ]
+        generating = prim.generating_ideals[prim.closed_sets.index(prim.variety(i))]
+        assert {i, lat.radical_ids[i]} <= set(generating)
     for size in range(3):
         for subset in itertools.combinations(range(min(ring.size, 6)), size):
             generated = lat.id_of(ideal_generated_by(ring, subset))

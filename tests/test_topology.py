@@ -157,7 +157,7 @@ def test_closure_matches_the_least_superset_scan(corpus_analyses):
         _closures_match_the_scan(topo)
     for text, a in corpus_analyses.items():
         assert len(a.prim.points) <= 10, text
-        _closures_match_the_scan(a.prim.topology)
+        _closures_match_the_scan(a.prim)
 
 
 def test_separation_examples():
@@ -197,7 +197,7 @@ def test_irreducible_characterizations_agree():
 def test_irreducible_matches_the_relative_scan(corpus_analyses):
     spaces = RANDOM_TOPOLOGIES + [SIERPINSKI, DISCRETE2, INDISCRETE3, POINT]
     for a in corpus_analyses.values():
-        spaces += [a.prim.topology, a.primes.topology]
+        spaces += [a.prim, a.primes]
     for topo in spaces:
         assert is_irreducible(topo) == is_irreducible_by_relative_scan(topo)
         for closed in topo.closed_sets:
@@ -218,9 +218,9 @@ def test_generic_points_examples():
 
 
 def test_sober_and_spectral():
-    assert is_sober(POINT) and is_spectral(POINT)
-    assert not is_spectral(INDISCRETE3)
-    assert is_spectral(DISCRETE2)
+    assert is_sober(POINT) and is_spectral(POINT, POINT.opens)
+    assert not is_spectral(INDISCRETE3, INDISCRETE3.opens)
+    assert is_spectral(DISCRETE2, DISCRETE2.opens)
 
 
 def test_spectral_base_must_be_closed_under_intersection():
@@ -243,7 +243,7 @@ def test_base_check_failure_names_the_missed_open(monkeypatch):
     # {empty set} generates only the empty open; {1} is the first open it misses
     assert uncovered_open(SIERPINSKI, [0]) == 0b10
     assert uncovered_open(SIERPINSKI, SIERPINSKI.opens) is None
-    assert is_spectral(SIERPINSKI) and not is_spectral(SIERPINSKI, [0])
+    assert is_spectral(SIERPINSKI, SIERPINSKI.opens) and not is_spectral(SIERPINSKI, [0])
     prim = analyze_ring("Zn(6)").prim
     monkeypatch.setattr(prim, "basic_open_family", lambda: [0])
     assert prim.is_base() == (False, 0b01)
@@ -291,8 +291,7 @@ SPEC_TOPOLOGIES = ["Zn(8)", "Zn(6)", "Zn(12)", "Zn(30)", "Quot(Zn(4), x^2+x+1)"]
 
 @pytest.mark.parametrize("text", SPEC_TOPOLOGIES)
 def test_spectrum_topologies(text):
-    prim = analyze_ring(text).prim
-    topo = prim.topology
+    topo = analyze_ring(text).prim
     sep = separation_axioms(topo)
     if sep.t2:
         assert sep.t1
@@ -307,37 +306,34 @@ def test_spectrum_topologies(text):
 
 def test_prim_z8_topology_profile():
     prim = analyze_ring("Zn(8)").prim
-    topo = prim.topology
-    sep = separation_axioms(topo)
+    sep = separation_axioms(prim)
     assert (sep.t0, sep.t1, sep.t2) == (False, False, False)
-    assert is_irreducible(topo)[0]
-    entries = irreducible_closed_with_generic_points(topo)
+    assert is_irreducible(prim)[0]
+    entries = irreducible_closed_with_generic_points(prim)
     assert len(entries) == 1 and entries[0][1].bit_count() == 3
-    assert not is_sober(topo)
-    assert not is_spectral(topo, prim.basic_open_family())
-    assert is_supercompact(topo)[0]
+    assert not is_sober(prim)
+    assert not is_spectral(prim, prim.basic_open_family())
+    assert is_supercompact(prim)[0]
 
 
 def test_prim_z6_topology_profile():
     prim = analyze_ring("Zn(6)").prim
-    topo = prim.topology
-    sep = separation_axioms(topo)
+    sep = separation_axioms(prim)
     assert (sep.t0, sep.t1, sep.t2) == (True, True, True)
-    verdict, witness = is_irreducible(topo)
+    verdict, witness = is_irreducible(prim)
     assert verdict is False and witness is not None
-    assert is_sober(topo)
-    assert is_spectral(topo, prim.basic_open_family())
-    verdict, family = is_supercompact(topo)
+    assert is_sober(prim)
+    assert is_spectral(prim, prim.basic_open_family())
+    verdict, family = is_supercompact(prim)
     assert verdict is False and len(family) == 2
 
 
 def test_quasi_compact_basic_open_subcovers():
     prim = analyze_ring("Zn(12)").prim
-    topo = prim.topology
     cover = prim.basic_opens()
     x2 = cover[2]
-    chosen = is_quasi_compact(topo, x2, cover)
+    chosen = is_quasi_compact(prim, x2, cover)
     covered = _union(cover[i] for i in chosen)
     assert x2 & ~covered == 0
-    chosen = is_quasi_compact(topo, prim.all_points(), cover)
+    chosen = is_quasi_compact(prim, prim.full, cover)
     assert len(chosen) <= 2
