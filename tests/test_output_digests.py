@@ -86,10 +86,10 @@ Z_LINES = [
 
 def command_lines() -> list[list[str]]:
     lines = [["export", spec] for spec in DEFAULT_CORPUS + POOL_SPECS]
+    queries = [["check", p] for p in CHECK_PROPERTIES]
+    queries += [[c] for c in ("info", "ideals", "prim", "spec")]
     for spec in SMALL_SPECS:
-        for command in (*(["check", p] for p in CHECK_PROPERTIES), *(
-            [c] for c in ("info", "ideals", "prim", "spec")
-        )):
+        for command in queries:
             lines += [[*command, spec], ["--json", *command, spec]]
         lines += [["export", spec, "--graph", g] for g in ("ideal-lattice", "specialization")]
     lines.append(["verify-paper"])
