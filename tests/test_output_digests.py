@@ -92,6 +92,9 @@ def command_lines() -> list[list[str]]:
         for command in queries:
             lines += [[*command, spec], ["--json", *command, spec]]
         lines += [["export", spec, "--graph", g] for g in ("ideal-lattice", "specialization")]
+    for spec in POOL_SPECS:
+        for p in ("a2", "spectral"):
+            lines += [["check", p, spec], ["--json", "check", p, spec]]
     lines.append(["verify-paper"])
     for z in Z_LINES:
         lines += [["z", *z], ["--json", "z", *z]]
