@@ -195,62 +195,58 @@ def _first_failing_fold(start, members, step, holds):
     return None
 
 
-def a_conditions(
-    lattice: IdealLattice,
-    family: list[int],
-    mode: str = "A2_original",
-) -> AConditionsResult:
-    """A1 (family intersects to zero) and A2 in either formulation.
+def a_conditions(lattice: IdealLattice, family: list[int]) -> AConditionsResult:
+    """A1 (the family meets in zero) and A2, decided in both its forms.
 
-    ``A2_original``: every element admits one exponent n with a^n in I for
-    every family member I whose radical contains a.  ``A2_radical_form``:
-    the radical of the intersection is the intersection of the radicals on
-    every subfamily, folded exhaustively; a failure names a smallest one.
+    A2 asks for one exponent n per element a with a^n in every member whose
+    radical holds a; its radical form asks that the radical of the meet be
+    the meet of the radicals, on every subfamily.  Once a^n lands in an
+    ideal all later powers stay, so a uniform exponent exists exactly when
+    each member passes alone: every a in its radical has a power inside,
+    found by walking a's powers in ``ring.mul``.  Every subfamily is then
+    folded as (meet, meet of radicals, every member passes the walk), and
+    A2 holds exactly when the two forms agree on every state.  A singleton
+    {i} agrees exactly when i passes the walk, since the radical of i's
+    mask is rad(i); once every member passes, the fold agrees exactly where
+    the radical form holds.  So ``a2`` is true exactly when both forms hold
+    on every subfamily, and a failure names a smallest subfamily where they
+    disagree, in family order.
     """
     if not family:
         raise ValueError("family must be nonempty")
     ring = lattice.ring
+    masks = lattice.masks
     full = (1 << ring.size) - 1
     meet = full
     for i in family:
-        meet &= lattice.masks[i]
-    a1 = meet == 1
-    if mode == "A2_original":
-        # once a^n lands in an ideal all later powers stay, so a uniform
-        # exponent exists exactly when a per-ideal exponent exists for
-        # every family member whose radical contains a
-        top = ring.top_powers()
+        meet &= masks[i]
+    top = ring.top_powers()
+
+    def powers_land(imask):
         for a in range(ring.size):
-            for i in family:
-                imask = lattice.masks[i]
-                if not (imask >> top[a]) & 1:
-                    continue  # a outside the radical of I
-                cur = a
-                seen = set()
-                while not (imask >> cur) & 1:
-                    seen.add(cur)
-                    cur = ring.mul[cur][a]
-                    if cur in seen:
-                        return AConditionsResult(
-                            a1,
-                            False,
-                            f"element {ring.element_names[a]} in the radical of "
-                            f"{lattice.render(i)} with no power inside",
-                        )
-        return AConditionsResult(a1, True, None)
-    if mode == "A2_radical_form":
-        rad = [lattice.mask(r) for r in lattice.radical_ids]
-        gamma = _first_failing_fold(
-            (full, full),
-            sorted(family, reverse=True),
-            lambda s, i: (s[0] & lattice.masks[i], s[1] & rad[i]),
-            lambda s: rad[lattice.id_of(s[0])] == s[1],
-        )
-        if gamma is None:
-            return AConditionsResult(a1, True, None)
-        shown = ", ".join(lattice.render(i) for i in sorted(gamma, key=family.index))
-        return AConditionsResult(a1, False, f"radical/intersection mismatch on {{{shown}}}")
-    raise ValueError(f"unknown A2 mode {mode!r}")
+            if not (imask >> top[a]) & 1:
+                continue  # a outside the radical of I
+            cur = a
+            seen = set()
+            while not (imask >> cur) & 1:
+                seen.add(cur)
+                cur = ring.mul[cur][a]
+                if cur in seen:
+                    return False
+        return True
+
+    walk = {i: powers_land(masks[i]) for i in family}
+    rad = [lattice.mask(r) for r in lattice.radical_ids]
+    gamma = _first_failing_fold(
+        (full, full, True),
+        sorted(family, reverse=True),
+        lambda st, i: (st[0] & masks[i], st[1] & rad[i], st[2] and walk[i]),
+        lambda st: st[2] == (rad[lattice.id_of(st[0])] == st[1]),
+    )
+    if gamma is None:
+        return AConditionsResult(meet == 1, True, None)
+    shown = ", ".join(lattice.render(i) for i in sorted(gamma, key=family.index))
+    return AConditionsResult(meet == 1, False, f"{{{shown}}} disagrees")
 
 
 def closure_identity_check(spectrum: Spectrum) -> tuple[bool, str | None]:
@@ -602,35 +598,11 @@ def verify_theorems(
     )
 
     # uniform exponents ---------------------------------------------------
-    # every family, folded as (meet, meet of radicals, A2_original): the
-    # uniform-exponent condition holds for a family exactly when it holds
-    # for each member
-    all_ids = list(range(n_ideals))
-    member_a2 = [a_conditions(lattice, [i], "A2_original").a2 for i in all_ids]
-    rad = [lattice.mask(r) for r in lattice.radical_ids]
-    full = (1 << ring.size) - 1
-    gamma = _first_failing_fold(
-        (full, full, True),
-        all_ids[::-1],
-        lambda st, i: (st[0] & masks[i], st[1] & rad[i], st[2] and member_a2[i]),
-        lambda st: st[2] == (rad[lattice.id_of(st[0])] == st[1]),
-    )
-    witness = None
-    if gamma is not None:
-        witness = "{" + ", ".join(map(lattice.render, sorted(gamma))) + "} disagrees"
-    _law(report, "uniform-exponent-mode-agreement", gamma is None, witness)
-
-    # both A2 forms hold on every family of ideals exactly when this fold
-    # passes: a singleton {i} fails it exactly when member_a2[i] is False
-    # (rad[id_of(mask(i))] == rad[i] always), and once every member passes
-    # the fold fails exactly where the radical form does; every family of
-    # primaries is a family of ideals, so their conjunct adds nothing
-    _iff(
-        report,
-        "uniform-exponent-zero-dimensional",
-        gamma is None,
-        cls.is_zero_dimensional,
-    )
+    # every family of primaries is a family of ideals, so their conjunct
+    # adds nothing to the all-ideal family's verdict
+    a2 = a_conditions(lattice, list(range(n_ideals)))
+    _law(report, "uniform-exponent-mode-agreement", a2.a2, a2.witness)
+    _iff(report, "uniform-exponent-zero-dimensional", a2.a2, cls.is_zero_dimensional)
 
     # closures --------------------------------------------------------------
     holds, witness = closure_identity_check(prim)

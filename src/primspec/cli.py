@@ -275,11 +275,8 @@ def cmd_check(args) -> int:
     elif prop == "star":
         value, detail = star_condition(a.lattice, a.prim)
     else:  # a2
-        ids = list(range(len(a.lattice)))
-        orig = a_conditions(a.lattice, ids, "A2_original")
-        radf = a_conditions(a.lattice, ids, "A2_radical_form")
-        value = orig.a2 and radf.a2
-        detail = orig.witness or radf.witness
+        res = a_conditions(a.lattice, list(range(len(a.lattice))))
+        value, detail = res.a2, res.witness
     label = prop.upper() if prop.startswith("t") and len(prop) == 2 else prop
     text = f"{label}: {str(value).lower()}" + (f"  ({detail})" if detail else "")
     payload = {"spec": str(a.spec), "property": prop, "value": value, "detail": detail}

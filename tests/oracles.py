@@ -4,6 +4,7 @@ import functools
 import itertools
 from math import gcd, isqrt
 
+from primspec.classify import AConditionsResult, _first_failing_fold
 from primspec.ideals import _sum_mask, canonical_key, iter_bits
 from primspec.rings import (
     FiniteRing,
@@ -88,6 +89,61 @@ def smallest_failing_folds(start, members, step, holds) -> list[tuple]:
         if found:
             return found
     return []
+
+
+def a2_by_mode(lattice, family: list[int], mode: str):
+    """Slow reference for ``classify.a_conditions``: A1 and A2 in one named
+    form, each by its own route.
+
+    ``A2_original``: every element admits one exponent n with a^n in I for
+    every family member I whose radical contains a.  ``A2_radical_form``:
+    the radical of the intersection is the intersection of the radicals on
+    every subfamily, folded exhaustively; a failure names a smallest one.
+    """
+    if not family:
+        raise ValueError("family must be nonempty")
+    ring = lattice.ring
+    full = (1 << ring.size) - 1
+    meet = full
+    for i in family:
+        meet &= lattice.masks[i]
+    a1 = meet == 1
+    if mode == "A2_original":
+        # once a^n lands in an ideal all later powers stay, so a uniform
+        # exponent exists exactly when a per-ideal exponent exists for
+        # every family member whose radical contains a
+        top = ring.top_powers()
+        for a in range(ring.size):
+            for i in family:
+                imask = lattice.masks[i]
+                if not (imask >> top[a]) & 1:
+                    continue  # a outside the radical of I
+                cur = a
+                seen = set()
+                while not (imask >> cur) & 1:
+                    seen.add(cur)
+                    cur = ring.mul[cur][a]
+                    if cur in seen:
+                        return AConditionsResult(
+                            a1,
+                            False,
+                            f"element {ring.element_names[a]} in the radical of "
+                            f"{lattice.render(i)} with no power inside",
+                        )
+        return AConditionsResult(a1, True, None)
+    if mode == "A2_radical_form":
+        rad = [lattice.mask(r) for r in lattice.radical_ids]
+        gamma = _first_failing_fold(
+            (full, full),
+            sorted(family, reverse=True),
+            lambda s, i: (s[0] & lattice.masks[i], s[1] & rad[i]),
+            lambda s: rad[lattice.id_of(s[0])] == s[1],
+        )
+        if gamma is None:
+            return AConditionsResult(a1, True, None)
+        shown = ", ".join(lattice.render(i) for i in sorted(gamma, key=family.index))
+        return AConditionsResult(a1, False, f"radical/intersection mismatch on {{{shown}}}")
+    raise ValueError(f"unknown A2 mode {mode!r}")
 
 
 def is_irreducible_by_relative_scan(t, subset: int | None = None):

@@ -19,7 +19,7 @@ from primspec.classify import (
     star_condition,
 )
 from primspec.cli import main
-from oracles import ideal_generated_by
+from oracles import a2_by_mode, ideal_generated_by
 from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, parse_ring_spec
 from primspec.topology import is_supercompact
@@ -204,9 +204,10 @@ def test_criterion_09_uniform_exponents(corpus_suite):
     results, _ = corpus_suite
     for text, (analysis, report) in results.items():
         ids = list(range(len(analysis.lattice)))
-        orig = a_conditions(analysis.lattice, ids, "A2_original")
-        radf = a_conditions(analysis.lattice, ids, "A2_radical_form")
+        orig = a2_by_mode(analysis.lattice, ids, "A2_original")
+        radf = a2_by_mode(analysis.lattice, ids, "A2_radical_form")
         assert orig.a2 and radf.a2 and orig.a2 == radf.a2, text
+        assert a_conditions(analysis.lattice, ids).a2, text
         assert report.entry("uniform-exponent-mode-agreement").passed, text
         assert report.entry("uniform-exponent-zero-dimensional").passed, text
     witness = a2_failure_witness_z(2)

@@ -20,7 +20,13 @@ from primspec.classify import (
     star_condition,
     verify_theorems,
 )
-from oracles import every_spec, ideal_generated_by, smallest_failing_folds, variety_of_elements
+from oracles import (
+    a2_by_mode,
+    every_spec,
+    ideal_generated_by,
+    smallest_failing_folds,
+    variety_of_elements,
+)
 from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, check_ring_axioms, parse_ring_spec
 from primspec.spectra import Spectrum
@@ -263,23 +269,28 @@ def test_a_conditions_examples():
     a8 = analyze_ring("Zn(8)")
     ids = list(range(len(a8.lattice)))
     for mode in ("A2_original", "A2_radical_form"):
-        res = a_conditions(a8.lattice, ids, mode)
+        res = a2_by_mode(a8.lattice, ids, mode)
         assert res.a1 and res.a2
+    res = a_conditions(a8.lattice, ids)
+    assert res.a1 and res.a2 and res.witness is None
     a6 = analyze_ring("Zn(6)")
     fam = [
         a6.lattice.id_by_mask[mask_of([0, 2, 4])],
         a6.lattice.id_by_mask[mask_of([0, 3])],
     ]
-    res = a_conditions(a6.lattice, fam, "A2_original")
+    res = a2_by_mode(a6.lattice, fam, "A2_original")
     assert res.a1 and res.a2
-    res = a_conditions(a6.lattice, [a6.lattice.zero_id], "A2_radical_form")
+    assert a_conditions(a6.lattice, fam) == res
+    res = a2_by_mode(a6.lattice, [a6.lattice.zero_id], "A2_radical_form")
     assert res.a2 and res.a1
-    res = a_conditions(a6.lattice, [a6.lattice.unit_id], "A2_original")
+    assert a_conditions(a6.lattice, [a6.lattice.zero_id]) == res
+    res = a2_by_mode(a6.lattice, [a6.lattice.unit_id], "A2_original")
     assert res.a2 and not res.a1
+    assert a_conditions(a6.lattice, [a6.lattice.unit_id]) == res
     with pytest.raises(ValueError):
-        a_conditions(a6.lattice, [], "A2_original")
+        a2_by_mode(a6.lattice, [], "A2_original")
     with pytest.raises(ValueError):
-        a_conditions(a6.lattice, fam, "A2_both")
+        a_conditions(a6.lattice, [])
 
 
 def test_a2_modes_agree_on_random_families():
@@ -291,10 +302,12 @@ def test_a2_modes_agree_on_random_families():
             sorted(rng.sample(ids, rng.randint(1, len(ids)))) for _ in range(15)
         ]
         for fam in families:
-            orig = a_conditions(lat, fam, "A2_original")
-            radf = a_conditions(lat, fam, "A2_radical_form")
+            orig = a2_by_mode(lat, fam, "A2_original")
+            radf = a2_by_mode(lat, fam, "A2_radical_form")
             assert orig.a2 == radf.a2
             assert orig.a1 == radf.a1
+            res = a_conditions(lat, fam)
+            assert (res.a1, res.a2) == (orig.a1, orig.a2 and radf.a2)
 
 
 def test_closure_identity_sampled_branch():
@@ -341,8 +354,11 @@ def test_a2_fold_agrees_with_subfamily_oracle(corpus_analyses):
         assert len(lat) <= 12, text
         for fam in (list(range(len(lat))), a.classification.primary_ideals):
             if fam:
-                res = a_conditions(lat, fam, "A2_radical_form")
+                res = a2_by_mode(lat, fam, "A2_radical_form")
                 assert res.a2 == (_smallest_a2_failures(lat, fam) == []), text
+                assert a_conditions(lat, fam).a2 == (
+                    a2_by_mode(lat, fam, "A2_original").a2 and res.a2
+                ), text
 
 
 def test_closure_fold_agrees_with_subset_oracle(corpus_analyses):
@@ -362,9 +378,12 @@ def test_a2_fold_names_a_smallest_failing_subfamily():
         for gamma in _smallest_a2_failures(lat, family)
     ]
     assert "{(4), (3)}" in smallest
-    res = a_conditions(lat, family, "A2_radical_form")
+    res = a2_by_mode(lat, family, "A2_radical_form")
     assert not res.a2
     assert res.witness.removeprefix("radical/intersection mismatch on ") in smallest
+    res = a_conditions(lat, family)
+    assert not res.a2
+    assert res.witness.removesuffix(" disagrees") in smallest
 
 
 def test_closure_fold_names_a_smallest_failing_set(monkeypatch):
@@ -408,8 +427,8 @@ def _smallest_mode_failures(lattice):
         found = [
             "{" + ", ".join(map(lattice.render, gamma)) + "}"
             for gamma in itertools.combinations(ids, size)
-            if a_conditions(lattice, list(gamma), "A2_original").a2
-            != a_conditions(lattice, list(gamma), "A2_radical_form").a2
+            if a2_by_mode(lattice, list(gamma), "A2_original").a2
+            != a2_by_mode(lattice, list(gamma), "A2_radical_form").a2
         ]
         if found:
             return found
@@ -556,7 +575,7 @@ def test_gf2_10_folds_cost_their_states(monkeypatch):
     monkeypatch.setattr(classify, "_first_failing_fold", counted)
     a = analyze_ring("Prod(GF(2), " * 9 + "GF(2)" + ")" * 9)
     assert verify_theorems(a).all_passed
-    assert a_conditions(a.lattice, list(range(len(a.lattice))), "A2_radical_form").a2
+    assert a_conditions(a.lattice, list(range(len(a.lattice)))).a2
     assert len(counts) == 4
     assert max(counts) <= 4 * 1024, counts
 
@@ -683,19 +702,21 @@ def test_row_wise_basic_open_laws_name_the_scalar_witness(monkeypatch, r, corrup
 
 def _uniform_exponent_holds(a, report):
     """Check the uniform-exponent verdicts of one analysis against one
-    ``a_conditions`` call per family and mode; return the report's verdict."""
+    ``a2_by_mode`` call per family and mode, and against one
+    ``a_conditions`` call per family; return the report's verdict."""
     lat = a.lattice
     ids = list(range(len(lat)))
     families = (ids, a.classification.primary_ideals or ids)
     for fam in families:
-        members = all(a_conditions(lat, [i], "A2_original").a2 for i in fam)
-        assert a_conditions(lat, fam, "A2_original").a2 == members
+        members = all(a2_by_mode(lat, [i], "A2_original").a2 for i in fam)
+        assert a2_by_mode(lat, fam, "A2_original").a2 == members
     entry = report.entry("uniform-exponent-zero-dimensional")
     assert entry.lhs == all(
-        a_conditions(lat, fam, mode).a2
+        a2_by_mode(lat, fam, mode).a2
         for fam in families
         for mode in ("A2_original", "A2_radical_form")
     )
+    assert entry.lhs == all(a_conditions(lat, fam).a2 for fam in families)
     return entry.lhs
 
 
@@ -710,14 +731,14 @@ def test_uniform_exponent_family_verdict_is_the_and_of_its_members(corpus_suite)
     top[5] = 0
     a.ring._top_powers = top
     assert not _uniform_exponent_holds(a, verify_theorems(a))
-    # the radical of (0) read as (0): every member passes A2_original, but
+    # the radical of (0) read as (0): every member passes the power walk, but
     # (4) and (3) meet in (0) while their radicals meet in (6)
     a = analyze_ring("Zn(12)")
     lat = copy.copy(a.lattice)
     lat.radical_ids = list(lat.radical_ids)
     lat.radical_ids[lat.zero_id] = lat.zero_id
     a = dataclasses.replace(a, lattice=lat)
-    assert all(a_conditions(lat, [i], "A2_original").a2 for i in range(len(lat)))
+    assert all(a2_by_mode(lat, [i], "A2_original").a2 for i in range(len(lat)))
     assert not _uniform_exponent_holds(a, verify_theorems(a))
 
 

@@ -1,5 +1,7 @@
 """CLI surface: commands, output formats, exit-code contract, corpus files."""
 
+import copy
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primspec import cli
+from primspec.classify import analyze_ring
 from primspec.cli import main
 from primspec.corpus import DEFAULT_CORPUS, default_corpus, load_corpus, parse_corpus_lines
 from primspec.rings import RingSpecError, parse_ring_spec
@@ -78,6 +81,40 @@ def test_check_quasi_compact_reports_a_missing_cover(capsys, monkeypatch):
     )
     code, out, err = run(capsys, "check", "quasi-compact", "Zn(8)")
     assert (code, out, err) == (1, "quasi-compact: false  (family misses points [0, 1, 2])\n", "")
+
+
+def _radical_of_zero_read_as_zero(a):
+    # the true radical of (0) in Zn(12) is (6); (4) and (3) meet in (0)
+    # while their radicals meet in (6)
+    lat = copy.copy(a.lattice)
+    lat.radical_ids = list(lat.radical_ids)
+    lat.radical_ids[lat.zero_id] = lat.zero_id
+    return dataclasses.replace(a, lattice=lat)
+
+
+def _unit_read_as_nilpotent(a):
+    # the unit 5 reads as lying in every radical, and its powers 5, 1 never
+    # reach a proper ideal
+    top = list(a.ring.top_powers())
+    top[5] = 0
+    a.ring._top_powers = top
+    return a
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (_radical_of_zero_read_as_zero, "{(4), (3)} disagrees"),
+        (_unit_read_as_nilpotent, "{(2)} disagrees"),
+    ],
+    ids=["radical-table", "top-power"],
+)
+def test_check_a2_names_a_disagreeing_family(capsys, monkeypatch, corrupt, detail):
+    monkeypatch.setattr(cli, "analyze_ring", lambda *args: corrupt(analyze_ring(*args)))
+    code, out, err = run(capsys, "check", "a2", "Zn(12)")
+    assert (code, out, err) == (1, f"a2: false  ({detail})\n", "")
+    code, out, _ = run(capsys, "--json", "check", "a2", "Zn(12)")
+    assert (code, json.loads(out)["detail"]) == (1, detail)
 
 
 def test_check_json(capsys):
