@@ -7,21 +7,40 @@ and Prim(Z/(m) x Z/(n)) the subspace of Prim(Z x Z) made of the
 (p^k) x Z with p^k | m and the Z x (p^k) with p^k | n.  Each check takes
 one side from ``zsymbolic`` and the other from the ring tables, and each
 has a test below showing that it catches a broken map or a broken query.
+
+The same theorem over F_p[x]: if f = prod g_i^(e_i) with the g_i distinct
+monic irreducibles, the primaries of F_p[x]/(f) are the (g_i^j)/(f) with
+1 <= j <= e_i, and the primes are the (g_i)/(f).  There the factorization
+comes from trial division, not from ``zsymbolic``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import gcd
 
+from oracles import every_spec
+from primspec.classify import a_conditions
 from primspec.ideals import enumerate_ideals, mask_of
-from primspec.rings import build_ring, parse_ring_spec
+from primspec.rings import (
+    GFSpec,
+    QuotSpec,
+    ZnSpec,
+    _fp_divmod,
+    _fp_is_irreducible,
+    build_ring,
+    parse_ring_spec,
+    prime_power,
+    spec_characteristic,
+)
 from primspec.spectra import Spectrum
 from primspec.zsymbolic import (
     NotACoverError,
     ZPrimaryIdeal,
     ZVariety,
     ZxZPrimaryIdeal,
+    a2_failure_witness_z,
     closure_z,
     extract_finite_subcover_z,
     factorize,
@@ -172,3 +191,90 @@ def test_the_basic_open_check_catches_a_lost_repeated_prime():
         lambda n: check_zn(n, v_rad=v_rad_of_squarefree_part), *[(n,) for n in ZN_MODULI]
     )
 
+
+
+def fp_factorization(f: list[int], p: int) -> dict[tuple[int, ...], int]:
+    """The monic irreducible factors of the monic f over F_p, with their
+    multiplicities, by trial division in order of degree."""
+    factors: dict[tuple[int, ...], int] = {}
+    d = 1
+    while len(f) > 1:
+        if 2 * d > len(f) - 1:
+            g = tuple(f)  # no factor of degree at most half its own is left
+            factors[g] = factors.get(g, 0) + 1
+            break
+        for tail in itertools.product(range(p), repeat=d):
+            g = list(tail) + [1]
+            if not _fp_is_irreducible(g, p):
+                continue
+            quot, rem = _fp_divmod(f, g, p)
+            while not rem:
+                factors[tuple(g)] = factors.get(tuple(g), 0) + 1
+                f = quot
+                quot, rem = _fp_divmod(f, g, p)
+        d += 1
+    return factors
+
+
+def _over_a_prime_field(spec) -> bool:
+    base = spec.base
+    if isinstance(base, ZnSpec):
+        return prime_power(base.n) is not None and prime_power(base.n)[1] == 1
+    return isinstance(base, GFSpec) and base.k == 1
+
+
+FP_QUOTIENTS = [s for s in every_spec(64) if isinstance(s, QuotSpec) and _over_a_prime_field(s)]
+
+
+def check_fp_quotient(spec: QuotSpec, prim_kind: str = "primary") -> None:
+    lat = enumerate_ideals(build_ring(spec))
+    factors = fp_factorization(list(spec.modulus), spec_characteristic(spec.base))
+    assert len(Spectrum(lat, prim_kind).points) == sum(factors.values()), (str(spec), factors)
+    assert len(Spectrum(lat, "prime").points) == len(factors), (str(spec), factors)
+
+
+def test_prim_of_an_fp_quotient_counts_the_prime_powers_of_its_modulus():
+    assert len(FP_QUOTIENTS) == 1470
+    for spec in FP_QUOTIENTS:
+        check_fp_quotient(spec)
+
+
+def test_the_fp_check_catches_prim_built_from_the_prime_flags():
+    assert _catches(lambda spec: check_fp_quotient(spec, "prime"), *[(s,) for s in FP_QUOTIENTS])
+
+
+def least_uniform_exponent(ring, a: int, masks: list[int]) -> int:
+    """The least n with a^n in every member, by walking a's powers in
+    ``ring.mul``; a must be nilpotent modulo each member."""
+    n, power = 1, a
+    while any(not m >> power & 1 for m in masks):
+        n, power = n + 1, ring.mul[power][a]
+    return n
+
+
+def test_the_finite_shadow_of_the_a2_failure_in_z():
+    # in Zn(p^K) the family {(p^k) : 1 <= k <= K} passes A2, but the least
+    # uniform exponent of p is K: it grows without bound, which is why the
+    # whole power family in Z fails A2
+    shadows = 0
+    for q in range(2, 257):
+        if prime_power(q) is None:
+            continue
+        p, big_k = prime_power(q)
+        lat = enumerate_ideals(build_ring(ZnSpec(q)))
+        family = [lat.id_of(zn_image(q, ZPrimaryIdeal(p, k))) for k in range(1, big_k + 1)]
+        res = a_conditions(lat, family)
+        assert res.a1 and res.a2, q
+        masks = [lat.mask(i) for i in family]
+        a = p % q
+        assert least_uniform_exponent(lat.ring, a, masks) == big_k, q
+        if big_k > 1:
+            assert least_uniform_exponent(lat.ring, a, masks[:-1]) == big_k - 1, q
+        # the meet (0) has radical (p), as the radicals' meet does; in Z the
+        # meet is (0), a prime, and the two sides part
+        radical = lat.mask(lat.radical_ids[lat.zero_id])
+        witness = a2_failure_witness_z(p)
+        assert radical == zn_image(q, witness.intersection_of_radicals), q
+        assert witness.radical_of_intersection != witness.intersection_of_radicals
+        shadows += big_k > 1
+    assert shadows == 16
