@@ -205,8 +205,9 @@ def uncovered_open(t: FiniteTopology, family) -> int | None:
 
 def is_spectral(t: FiniteTopology, base) -> bool:
     """Quasi-compact + sober + ``base`` is a base of quasi-compact opens
-    closed under pairwise intersection.  Every open of a finite space is
-    quasi-compact, so only the last three are checked."""
+    closed under pairwise intersection.  Every open of a finite space, the
+    space itself too, is quasi-compact, so only sobriety and the base are
+    checked."""
     if not is_sober(t):
         return False
     opens = set(t.opens)

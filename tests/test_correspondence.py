@@ -24,7 +24,6 @@ from oracles import every_spec
 from primspec.classify import a_conditions
 from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import (
-    GFSpec,
     QuotSpec,
     ZnSpec,
     _fp_divmod,
@@ -33,6 +32,7 @@ from primspec.rings import (
     parse_ring_spec,
     prime_power,
     spec_characteristic,
+    spec_size,
 )
 from primspec.spectra import Spectrum
 from primspec.zsymbolic import (
@@ -217,10 +217,7 @@ def fp_factorization(f: list[int], p: int) -> dict[tuple[int, ...], int]:
 
 
 def _over_a_prime_field(spec) -> bool:
-    base = spec.base
-    if isinstance(base, ZnSpec):
-        return prime_power(base.n) is not None and prime_power(base.n)[1] == 1
-    return isinstance(base, GFSpec) and base.k == 1
+    return prime_power(spec_size(spec.base)) == (spec_characteristic(spec.base), 1)
 
 
 FP_QUOTIENTS = [s for s in every_spec(64) if isinstance(s, QuotSpec) and _over_a_prime_field(s)]
