@@ -730,7 +730,9 @@ def test_uniform_exponent_family_verdict_is_the_and_of_its_members(corpus_suite)
     top = list(a.ring.top_powers())
     top[5] = 0
     a.ring._top_powers = top
-    assert not _uniform_exponent_holds(a, verify_theorems(a))
+    report = verify_theorems(a)
+    assert not _uniform_exponent_holds(a, report)
+    assert not report.entry("uniform-exponent-mode-agreement").passed
     # the radical of (0) read as (0): every member passes the power walk, but
     # (4) and (3) meet in (0) while their radicals meet in (6)
     a = analyze_ring("Zn(12)")
