@@ -81,6 +81,20 @@ Z_LINES = [
     ["zxz-closure", "left", "2"],
     ["zxz-closure", "right", "3", "2"],
     ["zxz-closure", "left", "0"],
+    # factors on both sides of the trial-division bound, the least strong
+    # pseudoprimes psi_2 ... psi_6 and the largest prime below 2^64
+    ["vrad", "64507"],
+    ["v", "66049"],
+    ["vrad", "63001"],
+    ["vrad", "3215031751"],
+    ["v", "2152302898747"],
+    ["vrad", "18446744073709551557"],
+    ["closure", "1373653"],
+    ["closure", "65537", "2"],
+    ["a2-witness", "25326001"],
+    ["a2-witness", "4294967291"],
+    ["zxz-closure", "right", "3474749660383"],
+    ["subcover", "3215031751", "151", "751", "28351"],
 ]
 
 
