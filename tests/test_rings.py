@@ -127,6 +127,29 @@ def test_parse_large_gf_decided_fast(text, expected):
     assert time.perf_counter() - started < 2.0
 
 
+@pytest.mark.parametrize(
+    "text, cap, expected",
+    [
+        ("GF(3215031751)", 10**10, "3215031751 is not a prime power"),
+        ("GF(3215031767)", 10**10, GFSpec(3215031767, 1)),
+        ("GF(1373653^2)", 2 * 10**12, "1373653 is not prime"),
+        ("GF(1373677^2)", 2 * 10**12, GFSpec(1373677, 2)),
+        ("GF(25326001)", 10**8, "25326001 is not a prime power"),
+        ("GF(25326023)", 10**8, GFSpec(25326023, 1)),
+    ],
+    ids=["psi4", "prime-past-psi4", "psi2-squared", "prime-past-psi2-squared", "psi3", "prime-past-psi3"],
+)
+def test_parse_gf_near_strong_pseudoprimes(text, cap, expected):
+    # parse only; psi_k is the least strong pseudoprime to the first k prime
+    # bases, so a primality test that stopped after k bases at psi_k would
+    # take it for a prime
+    if isinstance(expected, str):
+        with pytest.raises(RingSpecError, match=expected):
+            parse_ring_spec(text, max_elements=cap)
+    else:
+        assert parse_ring_spec(text, max_elements=cap) == expected
+
+
 @pytest.mark.parametrize("text", SAMPLE_SPECS)
 def test_round_trip(text):
     expr = parse_ring_spec(text)
