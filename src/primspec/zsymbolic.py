@@ -13,7 +13,24 @@ import random
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # deterministic < 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, k): psi_k is the least strong pseudoprime to the first k prime
+# bases, so those k bases decide primality below it.  psi_8 = psi_7 and
+# psi_10 = psi_11 = psi_9, so 8, 10 and 11 bases never help; all 13 bases
+# are exact below psi_13 = 3317044064679887385961981 (about 3.3e24).
+_MR_ROWS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
+# the 54 primes below 256, which factorize divides out before rho
+_TRIAL_PRIMES = tuple(p for p in range(2, 256) if all(p % q for q in range(2, isqrt(p) + 1)))
 
 
 class NotACoverError(ValueError):
@@ -25,18 +42,20 @@ class NotACoverError(ValueError):
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin to the first 13 prime bases: exact below 3.3e24, so for
-    every 64-bit input."""
+    """Miller-Rabin to the fewest of the first 13 prime bases proven exact
+    for n (one base below 2047, four below 3.2e9, all 13 from psi_12 on):
+    exact below 3.3e24, so for every 64-bit input."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    count = next((k for psi, k in _MR_ROWS if n < psi), len(_MR_BASES))
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:count]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -81,15 +100,19 @@ def _pollard_rho(n: int) -> int:
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Sorted prime factorization of |n| for nonzero |n| < 2^64: trial
-    division by the primes up to 41, then Miller-Rabin and Brent's rho on
-    what is left, so the cost follows the smallest prime factor."""
+    division by the primes below 256 until p^2 exceeds what is left, then
+    Miller-Rabin, a square test and Brent's rho on the rest.  Rho runs only
+    on a cofactor with no prime factor below 256, and its cost follows that
+    cofactor's smallest prime factor."""
     if n == 0:
         raise ValueError("zero has no prime factorization")
     n = abs(n)
     if n.bit_length() > 64:
         raise ValueError("input exceeds 64 bits")
     factors: dict[int, int] = {}
-    for p in _MR_BASES:
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p

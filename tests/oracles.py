@@ -23,7 +23,6 @@ from primspec.zsymbolic import (
     SubcoverCertificate,
     _bezout_chain,
     _pollard_rho,
-    is_probable_prime,
 )
 
 
@@ -162,6 +161,38 @@ def is_irreducible_by_relative_scan(t, subset: int | None = None):
     return True, None
 
 
+def passes_strong_test(n: int, bases) -> bool:
+    """Odd n > 1 coprime to each base is a strong probable prime to all of
+    ``bases``."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def is_prime_by_all_bases(n: int) -> bool:
+    """Miller-Rabin to all of the first 13 prime bases, whatever the size of
+    n: exact below psi_13 = 3317044064679887385961981 (about 3.3e24)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    return passes_strong_test(n, bases)
+
+
 def factorize_by_trial_division(n: int) -> list[tuple[int, int]]:
     """Sorted prime factorization of |n| for nonzero |n| < 2^63: a 2-3-5
     wheel of trial divisions up to 10^6, then Miller-Rabin and Brent's rho
@@ -190,7 +221,7 @@ def factorize_by_trial_division(n: int) -> list[tuple[int, int]]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_probable_prime(m):
+        if is_prime_by_all_bases(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         root = isqrt(m)

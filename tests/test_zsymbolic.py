@@ -7,7 +7,12 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import factorize_by_trial_division, subcover_by_factoring
+from oracles import (
+    factorize_by_trial_division,
+    is_prime_by_all_bases,
+    passes_strong_test,
+    subcover_by_factoring,
+)
 
 from primspec import zsymbolic
 from primspec.zsymbolic import (
@@ -75,6 +80,48 @@ def test_factorize_accepts_exactly_64_bits():
             factorize(n)
 
 
+def _products_of_primes_below_256(rng, count):
+    """Seeded products of primes below 256, each as long as 64 bits allow."""
+    small = list(sympy.primerange(2, 256))
+    values = []
+    for _ in range(count):
+        n = rng.choice(small)
+        while (m := n * rng.choice(small)).bit_length() <= 64:
+            n = m
+        values.append(n)
+    return values
+
+
+def test_factorize_across_the_trial_division_bound():
+    values = [251**2, 251 * 257, 257**2, 241 * 251 * 65521]
+    values += [257 << k for k in range(1, 56)]
+    values += _products_of_primes_below_256(random.Random(256), 200)
+    for n in values:
+        assert factorize(n) == _as_factorint(n), n
+        if n < 1 << 63:
+            assert factorize(n) == factorize_by_trial_division(n), n
+
+
+def test_factorize_leaves_to_rho_only_factors_above_256(monkeypatch):
+    # every prime factor but the largest lies below 256, so trial division
+    # leaves a prime, a square of one or nothing, and rho is never needed
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    rng = random.Random(43)
+    values = [43 * 47 * 10007, 251 * 257, 257**2, 241 * 251 * 65521, 43**5 * (2**31 - 1)]
+    values += _products_of_primes_below_256(rng, 50)
+    for _ in range(50):
+        n = 1
+        for _ in range(rng.randint(1, 4)):
+            n *= sympy.prime(rng.randint(14, 54))  # 43 ... 251
+        values.append(n * _random_prime(rng, 256, 2 ** (64 - n.bit_length())))
+    expected = {n: _as_factorint(n) for n in values}
+    monkeypatch.setattr(zsymbolic, "_pollard_rho", no_rho)
+    for n in values:
+        assert factorize(n) == expected[n], n
+
+
 def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == [(p, 1), (q, 1)]
@@ -111,8 +158,9 @@ def test_factorize_random_wide_integers_match_sympy(bits):
 
 
 def test_factorize_prime_powers_match_sympy_and_trial_division():
-    # no factor below 43 and not squares, so Brent's rho must split them;
-    # each value stays below 2^63, where the trial-division oracle runs
+    # no factor below 43, nearly always none below 256, and not squares, so
+    # Brent's rho must split them; each value stays below 2^63, where the
+    # trial-division oracle runs
     rng = random.Random(3)
     values = []
     for _ in range(12):
@@ -153,11 +201,53 @@ def test_miller_rabin_matches_sympy(n):
 
 
 def test_miller_rabin_rejects_strong_pseudoprime_to_bases_through_37():
-    # the least composite that passes the strong test to every prime base
-    # up to 37; base 41 is needed to keep the test exact below 3.3e24
+    # psi_12, the least composite that passes the strong test to every prime
+    # base up to 37: from it on the test runs all 13 bases, and base 41
+    # keeps it exact below 3.3e24
     psi12 = 399165290221 * 798330580441
     assert not is_probable_prime(psi12)
     assert is_probable_prime(2**61 - 1) and is_probable_prime(2**89 - 1)
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases
+# (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang and Deng
+# 2014; Sorenson and Webster 2017)
+PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    8: 341550071728321,
+    9: 3825123056546413051,
+    10: 3825123056546413051,
+    11: 3825123056546413051,
+    12: 318665857834031151167461,
+}
+
+
+def test_miller_rabin_matches_all_bases_below_2_to_17():
+    disagree = [n for n in range(1 << 17) if is_probable_prime(n) != is_prime_by_all_bases(n)]
+    assert disagree == []
+
+
+def test_miller_rabin_matches_all_bases_on_random_odd_numbers():
+    rng = random.Random(24)
+    for bits in range(2, 65):
+        for _ in range(500):
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            assert is_probable_prime(n) == is_prime_by_all_bases(n), n
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_miller_rabin_rejects_psi_k_and_accepts_the_primes_beside_it(k):
+    psi = PSI[k]
+    assert passes_strong_test(psi, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:k])
+    assert not is_probable_prime(psi) and not is_prime_by_all_bases(psi)
+    for p in (sympy.prevprime(psi), sympy.nextprime(psi)):
+        assert is_probable_prime(p) and is_prime_by_all_bases(p), p
 
 
 def test_v_rad_z_examples():
