@@ -146,6 +146,8 @@ class ZPrimaryIdeal:
 
     def __post_init__(self):
         if self.p is not None:
+            if self.p.bit_length() > 64:
+                raise ValueError("prime exceeds 64 bits")
             if not is_probable_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
             if self.k < 1:
@@ -373,9 +375,8 @@ class A2FailureWitness:
 def a2_failure_witness_z(p: int) -> A2FailureWitness:
     """Certify that the full power family of p violates the
     radical/intersection exchange: any nonzero m lies outside (p^(v+1)) for
-    v the p-adic valuation of m, so the intersection of all (p^k) is (0)."""
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
+    v the p-adic valuation of m, so the intersection of all (p^k) is (0).
+    Raises ValueError unless p is a prime of at most 64 bits."""
     return A2FailureWitness(
         p=p,
         radical_of_intersection=ZERO_IDEAL,

@@ -365,6 +365,27 @@ def test_z_zxz_closure(capsys):
     assert out.strip() == "{Z×(5^n): n≥1}"
 
 
+M4253 = str(2**4253 - 1)  # a Mersenne prime of 1281 digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["closure", M4253], ["a2-witness", M4253], ["zxz-closure", "left", M4253, "2"]],
+    ids=["closure", "a2-witness", "zxz-closure"],
+)
+def test_z_point_above_64_bits_rejected_fast(capsys, argv):
+    # rejected before any Miller-Rabin, which took seconds on such a prime
+    started = time.perf_counter()
+    code, out, err = run(capsys, "z", *argv)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "") and "prime exceeds 64 bits" in err
+
+
+def test_z_closure_accepts_the_largest_64_bit_prime(capsys):
+    code, out, _ = run(capsys, "z", "closure", "18446744073709551557")
+    assert code == 0 and out.strip() == "{(18446744073709551557^k): k≥1}"
+
+
 @pytest.mark.parametrize(
     "argv,payload",
     [

@@ -295,6 +295,15 @@ def test_z_ideal_validation():
     assert str(ZERO_IDEAL) == "(0)"
 
 
+def test_z_point_primes_bounded_by_64_bits():
+    assert str(ZPrimaryIdeal(2**64 - 59, 2)) == "(18446744073709551557^2)"
+    for p in (2**89 - 1, -(2**89 - 1), 1 << 64):
+        with pytest.raises(ValueError, match="prime exceeds 64 bits"):
+            ZPrimaryIdeal(p, 1)
+        with pytest.raises(ValueError, match="prime exceeds 64 bits"):
+            a2_failure_witness_z(p)
+
+
 def test_closure_z_examples():
     q1, q2 = ZPrimaryIdeal(2, 3), ZPrimaryIdeal(2, 5)
     assert closure_equal_z(q1, q2)
