@@ -97,9 +97,10 @@ def test_factorize_across_the_trial_division_bound():
     values += [257 << k for k in range(1, 56)]
     values += _products_of_primes_below_256(random.Random(256), 200)
     for n in values:
-        assert factorize(n) == _as_factorint(n), n
+        got = factorize(n)
+        assert got == _as_factorint(n), n
         if n < 1 << 63:
-            assert factorize(n) == factorize_by_trial_division(n), n
+            assert got == factorize_by_trial_division(n), n
 
 
 def test_factorize_leaves_to_rho_only_factors_above_256(monkeypatch):
