@@ -1,14 +1,15 @@
 """Ring-level predicates and the property-verification suite.
 
-``analyze_ring`` bundles ring, ideal lattice, both spectra and the
-classification record; ``verify_theorems`` evaluates every checked law on
-that bundle, reporting each biconditional with both sides computed
-independently.
+``analyze_ring`` bundles ring and ideal lattice, built at once, with both
+spectra and the classification record, each built on first read;
+``verify_theorems`` evaluates every checked law on that bundle, reporting
+each biconditional with both sides computed independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .ideals import (
@@ -145,7 +146,7 @@ def star_condition(
     failing X_r names its first element r and the members of F(r).
     """
     ring = lattice.ring
-    opens = spectrum.basic_opens()
+    opens = spectrum.basic_opens
     full = spectrum.full
     others = list(dict.fromkeys(opens[1:]))
     for xr in dict.fromkeys(opens):
@@ -220,7 +221,7 @@ def a_conditions(lattice: IdealLattice, family: list[int]) -> AConditionsResult:
     meet = full
     for i in family:
         meet &= masks[i]
-    top = ring.top_powers()
+    top = ring.top_powers
 
     def powers_land(imask):
         for a in range(ring.size):
@@ -258,7 +259,7 @@ def closure_identity_check(spectrum: Spectrum) -> tuple[bool, str | None]:
     """
     lattice = spectrum.lattice
     masks = [lattice.mask(i) for i in spectrum.points]
-    point_closures = spectrum.point_closures()
+    point_closures = spectrum.point_closures
     y = _first_failing_fold(
         (0, (1 << lattice.ring.size) - 1),
         range(len(masks)),
@@ -277,9 +278,18 @@ class RingAnalysis:
     spec: RingSpecExpr
     ring: FiniteRing
     lattice: IdealLattice
-    prim: Spectrum
-    primes: Spectrum
-    classification: RingClassification
+
+    @cached_property
+    def prim(self) -> Spectrum:
+        return Spectrum(self.lattice, "primary")
+
+    @cached_property
+    def primes(self) -> Spectrum:
+        return Spectrum(self.lattice, "prime")
+
+    @cached_property
+    def classification(self) -> RingClassification:
+        return classify_ring(self.lattice)
 
 
 def analyze_ring(
@@ -287,19 +297,12 @@ def analyze_ring(
     max_elements: int = DEFAULT_ELEMENT_CAP,
     max_ideals: int = DEFAULT_IDEAL_CAP,
 ) -> RingAnalysis:
-    """Build ring, lattice, both spectra and the classification record."""
+    """Parse, build the ring and enumerate its ideals, so a cap is hit
+    here; the spectra and the classification wait for their first read."""
     if isinstance(spec, str):
         spec = parse_ring_spec(spec, max_elements)
     ring = build_ring(spec, max_elements)
-    lattice = enumerate_ideals(ring, max_ideals)
-    return RingAnalysis(
-        spec=spec,
-        ring=ring,
-        lattice=lattice,
-        prim=Spectrum(lattice, "primary"),
-        primes=Spectrum(lattice, "prime"),
-        classification=classify_ring(lattice),
-    )
+    return RingAnalysis(spec, ring, enumerate_ideals(ring, max_ideals))
 
 
 @dataclass
@@ -475,9 +478,9 @@ def verify_theorems(
     n_ideals = len(lattice)
     all_pts = prim.full
     varieties = prim.varieties
-    x = prim.basic_opens()
+    x = prim.basic_opens
     masks, id_by_mask = lattice.masks, lattice.id_by_mask
-    sums, products = lattice.sum_table(), lattice.product_table()
+    sums, products = lattice.sum_table, lattice.product_table
     principal = lattice.principal_ids
     # unit/nilpotent side of the basic-open laws, from ring.mul alone
     flags = [unit_and_nilpotent_flags(ring, r) for r in range(ring.size)]
@@ -578,7 +581,7 @@ def verify_theorems(
     # a finite family covers a set exactly when the set lies in the family's
     # union; a failure names the last element whose open is not covered
     covered = 0
-    for u in prim.basic_open_family():
+    for u in prim.basic_open_family:
         covered |= u
     bad = [names[r] for r in range(ring.size) if x[r] & ~covered]
     _law(report, "basic-open-quasi-compact", not bad, bad[-1] if bad else None)
@@ -615,7 +618,7 @@ def verify_theorems(
         applicable=cls.is_zero_dimensional,
     )
 
-    point_closures = prim.point_closures()
+    point_closures = prim.point_closures
     holds, witness = True, None
     for pos, ideal_id in enumerate(prim.points):
         if point_closures[pos] != varieties[ideal_id]:
@@ -672,7 +675,7 @@ def verify_theorems(
     _iff(
         report,
         "spectral-iff-t0",
-        is_spectral(prim, prim.basic_open_family()),
+        is_spectral(prim, prim.basic_open_family),
         sep.t0,
         cls.w_ring_witness,
         applicable=cls.is_w_ring,

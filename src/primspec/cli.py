@@ -236,7 +236,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_check(args) -> int:
     a = _analyze(args)
-    cls = a.classification
     prop = args.property
     detail = None
     if prop in ("t0", "t1", "t2"):
@@ -246,7 +245,7 @@ def cmd_check(args) -> int:
     elif prop == "sober":
         value = is_sober(a.prim)
     elif prop == "spectral":
-        value = is_spectral(a.prim, a.prim.basic_open_family())
+        value = is_spectral(a.prim, a.prim.basic_open_family)
     elif prop == "irreducible":
         value, wit = topo_is_irreducible(a.prim)
         if not value:
@@ -257,7 +256,7 @@ def cmd_check(args) -> int:
             detail = "covering family " + ", ".join(map(a.prim.render_point_set, wit))
     elif prop == "quasi-compact":
         try:
-            chosen = is_quasi_compact(a.prim, a.prim.full, a.prim.basic_open_family())
+            chosen = is_quasi_compact(a.prim, a.prim.full, a.prim.basic_open_family)
             value, detail = True, f"subcover of {len(chosen)} basic opens"
         except CoverageError as exc:
             value, detail = False, str(exc)
@@ -265,13 +264,13 @@ def cmd_check(args) -> int:
         value, wit = a.prim.is_base()
         detail = None if value else f"open {list(iter_bits(wit))} not a union of basics"
     elif prop == "local":
-        value = cls.is_local
+        value = a.classification.is_local
     elif prop == "field":
-        value = cls.is_field
+        value = a.classification.is_field
     elif prop == "p-ring":
-        value = cls.is_p_ring
+        value = a.classification.is_p_ring
     elif prop == "w-ring":
-        value, detail = cls.is_w_ring, cls.w_ring_witness
+        value, detail = a.classification.is_w_ring, a.classification.w_ring_witness
     elif prop == "star":
         value, detail = star_condition(a.lattice, a.prim)
     else:  # a2

@@ -39,6 +39,8 @@ upper cover is R, and the Hasse diagram draws the relation as it stands.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .rings import CapExceededError, FiniteRing
 
 DEFAULT_IDEAL_CAP = 4096
@@ -112,7 +114,7 @@ def _sum_mask(ring: FiniteRing, a: int, b: int) -> int:
 def _radical_mask(ring: FiniteRing, mask: int) -> int:
     """rad(I): the x whose top power x^N (``FiniteRing.top_powers``) is in I."""
     out = 0
-    for x, t in enumerate(ring.top_powers()):
+    for x, t in enumerate(ring.top_powers):
         if (mask >> t) & 1:
             out |= 1 << x
     return out
@@ -157,8 +159,6 @@ class IdealLattice:
             for k, s in enumerate(column):
                 by_id[ids[k]] = ids[s]
             self._join_columns.append(by_id)
-        self._sums: list[list[int]] | None = None
-        self._products: list[list[int]] | None = None
         full = (1 << ring.size) - 1
         self.proper = [m != full for m in self.masks]
         self.radical_ids = [self.id_by_mask[_radical_mask(ring, m)] for m in self.masks]
@@ -239,27 +239,21 @@ class IdealLattice:
             row[k] = columns[t][row[m]]
         return row
 
+    @cached_property
     def sum_table(self) -> list[list[int]]:
         """sums[a][b] is the id of a + b: row a starts at a and joins in one
         join-irreducible per member, a + (m + p) = (a + m) + p."""
-        if self._sums is None:
-            self._sums = [self._tree_row(a, self._join_columns) for a in range(len(self))]
-        return self._sums
+        return [self._tree_row(a, self._join_columns) for a in range(len(self))]
 
+    @cached_property
     def product_table(self) -> list[list[int]]:
         """products[a][b] is the id of ab, by a(m + p) = am + ap.  With
         p = R*g, row p is filled the same way from (R*g)(R*h) = R*gh, and
         ap is entry a of row p."""
-        if self._products is None:
-            sums, mul, principal = self.sum_table(), self.ring.mul, self.principal_ids
-            gens = self._join_gens
-            join_rows = [
-                self._tree_row(0, [sums[principal[mul[g][h]]] for h in gens]) for g in gens
-            ]
-            self._products = [
-                self._tree_row(0, [sums[row[a]] for row in join_rows]) for a in range(len(self))
-            ]
-        return self._products
+        sums, mul, principal = self.sum_table, self.ring.mul, self.principal_ids
+        gens = self._join_gens
+        join_rows = [self._tree_row(0, [sums[principal[mul[g][h]]] for h in gens]) for g in gens]
+        return [self._tree_row(0, [sums[row[a]] for row in join_rows]) for a in range(len(self))]
 
     def nilradical_id(self) -> int:
         return self.radical_ids[self.zero_id]
@@ -281,7 +275,7 @@ class IdealLattice:
         adds (each one outside the ideal generated so far), pruned of each
         one the others still generate the ideal without; the ideal that a
         set generates is the sum of the principal ideals of its members."""
-        masks, principal, sums = self.masks, self.principal_ids, self.sum_table()
+        masks, principal, sums = self.masks, self.principal_ids, self.sum_table
         mask = masks[ideal_id]
         for g in iter_bits(mask):
             if g and principal[g] == ideal_id:

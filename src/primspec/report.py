@@ -106,7 +106,7 @@ def dot_specialization(spectrum: Spectrum) -> str:
     lines = ["digraph specialization {"]
     for pos in range(len(spectrum.points)):
         lines.append(f'  n{pos} [label="{spectrum.render_point(pos)}"];')
-    for pos, closure in enumerate(spectrum.point_closures()):
+    for pos, closure in enumerate(spectrum.point_closures):
         for other in iter_bits(closure):
             if other != pos:
                 lines.append(f"  n{pos} -> n{other};")

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .zsymbolic import is_probable_prime
+from .zsymbolic import MR_EXACT_BELOW, is_probable_prime
 
 DEFAULT_ELEMENT_CAP = 1024
 # a chain of this many Prods has more than 2^64 elements; deeper nesting is
@@ -154,7 +154,7 @@ def spec_characteristic(spec: ZnSpec | GFSpec) -> int:
     return spec.n if isinstance(spec, ZnSpec) else spec.p
 
 
-def render_poly(coeffs: tuple[int, ...], var: str = "x") -> str:
+def render_poly(coeffs: tuple[int, ...]) -> str:
     terms = []
     for e in range(len(coeffs) - 1, -1, -1):
         c = coeffs[e]
@@ -164,7 +164,7 @@ def render_poly(coeffs: tuple[int, ...], var: str = "x") -> str:
             terms.append(str(c))
         else:
             head = "" if c == 1 else str(c)
-            terms.append(f"{head}{var}" if e == 1 else f"{head}{var}^{e}")
+            terms.append(f"{head}x" if e == 1 else f"{head}x^{e}")
     return "+".join(terms) if terms else "0"
 
 
@@ -268,6 +268,8 @@ class _Parser:
                 if pk is None:
                     self.error(f"{first} is not a prime power")
                 p, k = pk
+            if p >= MR_EXACT_BELOW:
+                self.error(f"characteristic {p} is not below {MR_EXACT_BELOW}: primality unproven")
             return GFSpec(p, k)
         if name == "Quot":
             self.expect("(")
@@ -436,7 +438,6 @@ class FiniteRing:
         one_index: int,
         label: str,
         element_names: list[str],
-        spec: RingSpecExpr | None = None,
     ):
         self.size = size
         self.add = add
@@ -446,8 +447,6 @@ class FiniteRing:
         self.one_index = one_index
         self.label = label
         self.element_names = element_names
-        self.spec = spec
-        self._top_powers: list[int] | None = None
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.label}, size={self.size})"
@@ -459,6 +458,7 @@ class FiniteRing:
             c += 1
         return c
 
+    @functools.cached_property
     def top_powers(self) -> list[int]:
         """For each element x, x^N for N the least power of two >= size,
         by squaring every element ceil(log2 size) times.
@@ -466,13 +466,11 @@ class FiniteRing:
         The powers of x repeat by x^(size + 1), so if some power of x lies
         in an ideal I, one of exponent at most size does, and every later
         power stays in I: x is in rad(I) exactly when x^N is in I."""
-        if self._top_powers is None:
-            mul = self.mul
-            top = list(range(self.size))
-            for _ in range((self.size - 1).bit_length()):
-                top = [mul[t][t] for t in top]
-            self._top_powers = top
-        return self._top_powers
+        mul = self.mul
+        top = list(range(self.size))
+        for _ in range((self.size - 1).bit_length()):
+            top = [mul[t][t] for t in top]
+        return top
 
 
 def unit_and_nilpotent_flags(ring: FiniteRing, r: int) -> tuple[bool, bool, int | None]:
@@ -530,9 +528,7 @@ def _poly_element_name(coeffs: list[int], coeff_names: list[str], var: str) -> s
     return "+".join(terms) if terms else coeff_names[0]
 
 
-def _build_quotient(
-    base: FiniteRing, modulus: tuple[int, ...], var: str, label: str, spec
-) -> FiniteRing:
+def _build_quotient(base: FiniteRing, modulus: tuple[int, ...], var: str, label: str) -> FiniteRing:
     """Tables of base[var]/(modulus) for a monic modulus of degree d.
 
     The element c0 + c1 x + ... + c_{d-1} x^{d-1} has index
@@ -598,7 +594,7 @@ def _build_quotient(
             rest, c = divmod(rest, b)
             coeffs.append(c)
         names.append(_poly_element_name(coeffs, base.element_names, var))
-    return FiniteRing(size, add, mul, neg, base.one_index, label, names, spec)
+    return FiniteRing(size, add, mul, neg, base.one_index, label, names)
 
 
 def _by_rows(left_table: list[list[int]], right_table: list[list[int]], rs: int):
@@ -619,7 +615,7 @@ def _by_rows(left_table: list[list[int]], right_table: list[list[int]], rs: int)
     ]
 
 
-def _build_product(left: FiniteRing, right: FiniteRing, label: str, spec) -> FiniteRing:
+def _build_product(left: FiniteRing, right: FiniteRing, label: str) -> FiniteRing:
     rs = right.size
     size = left.size * rs
     add = _by_rows(left.add, right.add, rs)
@@ -629,7 +625,7 @@ def _build_product(left: FiniteRing, right: FiniteRing, label: str, spec) -> Fin
     names = [
         f"({ln},{rn})" for ln in left.element_names for rn in right.element_names
     ]
-    return FiniteRing(size, add, mul, neg, one, label, names, spec)
+    return FiniteRing(size, add, mul, neg, one, label, names)
 
 
 def build_ring(spec: RingSpecExpr, max_elements: int = DEFAULT_ELEMENT_CAP) -> FiniteRing:
@@ -637,27 +633,22 @@ def build_ring(spec: RingSpecExpr, max_elements: int = DEFAULT_ELEMENT_CAP) -> F
     size = spec_size(spec)
     if size > max_elements:
         raise _over_cap(size, max_elements)
-    if isinstance(spec, ZnSpec):
-        if spec.n < 2:
+    if isinstance(spec, ZnSpec) or isinstance(spec, GFSpec) and spec.k == 1:
+        if size < 2:
             raise RingSpecError("Zn modulus must be at least 2")
-        add, mul, neg = _build_zn_tables(spec.n)
-        names = [str(i) for i in range(spec.n)]
-        return FiniteRing(spec.n, add, mul, neg, 1, str(spec), names, spec)
+        add, mul, neg = _build_zn_tables(size)
+        return FiniteRing(size, add, mul, neg, 1, str(spec), [str(i) for i in range(size)])
     if isinstance(spec, GFSpec):
-        if spec.k == 1:
-            add, mul, neg = _build_zn_tables(spec.p)
-            names = [str(i) for i in range(spec.p)]
-            return FiniteRing(spec.p, add, mul, neg, 1, str(spec), names, spec)
         base = build_ring(ZnSpec(spec.p), max_elements)
         modulus = find_irreducible_poly(spec.p, spec.k)
-        return _build_quotient(base, modulus, "a", str(spec), spec)
+        return _build_quotient(base, modulus, "a", str(spec))
     if isinstance(spec, QuotSpec):
         base = build_ring(spec.base, max_elements)
-        return _build_quotient(base, spec.modulus, "x", str(spec), spec)
+        return _build_quotient(base, spec.modulus, "x", str(spec))
     if isinstance(spec, ProdSpec):
         left = build_ring(spec.left, max_elements)
         right = build_ring(spec.right, max_elements)
-        return _build_product(left, right, str(spec), spec)
+        return _build_product(left, right, str(spec))
     raise TypeError(f"not a ring spec: {spec!r}")
 
 

@@ -11,6 +11,8 @@ every generating ideal.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .ideals import IdealLattice, canonical_key, iter_bits
 from .topology import FiniteTopology, uncovered_open
 
@@ -23,7 +25,6 @@ class Spectrum(FiniteTopology):
         if kind not in ("prime", "primary"):
             raise ValueError(f"unknown spectrum kind {kind!r}")
         self.lattice = lattice
-        self.kind = kind
         flags = lattice.prime if kind == "prime" else lattice.primary
         self.points = [i for i in range(len(lattice)) if flags[i]]
         # a prime is its own radical, so both kinds test I against rad(Q)
@@ -34,8 +35,6 @@ class Spectrum(FiniteTopology):
             by_set.setdefault(closed, []).append(ideal_id)
         super().__init__(len(self.points), by_set.keys())
         self.generating_ideals = [by_set[s] for s in self.closed_sets]
-        self._element_opens: list[int] | None = None
-        self._basic_opens: list[int] | None = None
 
     # -- varieties -----------------------------------------------------------
 
@@ -50,19 +49,15 @@ class Spectrum(FiniteTopology):
         """Closed set of an ideal, as a point mask."""
         return self.varieties[ideal_id]
 
+    @cached_property
     def basic_opens(self) -> list[int]:
-        """The basic open of every element, its variety's complement, once."""
-        if self._element_opens is None:
-            self._element_opens = [
-                self.full ^ self._variety_of_mask(1 << r) for r in range(self.lattice.ring.size)
-            ]
-        return self._element_opens
+        """The basic open of every element, its variety's complement."""
+        return [self.full ^ self._variety_of_mask(1 << r) for r in range(self.lattice.ring.size)]
 
+    @cached_property
     def basic_open_family(self) -> list[int]:
         """Deduplicated basic opens, canonically ordered."""
-        if self._basic_opens is None:
-            self._basic_opens = sorted(set(self.basic_opens()), key=canonical_key)
-        return self._basic_opens
+        return sorted(set(self.basic_opens), key=canonical_key)
 
     # -- point sets ----------------------------------------------------------
 
@@ -79,7 +74,7 @@ class Spectrum(FiniteTopology):
     def is_base(self) -> tuple[bool, int | None]:
         """Do the basic opens generate every open set by union?  On failure
         the second value is the first open they miss."""
-        missed = uncovered_open(self, self.basic_open_family())
+        missed = uncovered_open(self, self.basic_open_family)
         return missed is None, missed
 
     def render_point(self, pos: int) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ideals import canonical_key, iter_bits
 
@@ -28,7 +29,7 @@ class FiniteTopology:
     """Finite topological space: ``point_count`` points plus closed sets.
 
     The closed family is validated once, here; ``closed_sets`` and ``opens``
-    are deduplicated and in canonical order.
+    (built on first read) are deduplicated and in canonical order.
     """
 
     def __init__(self, point_count: int, closed_sets):
@@ -37,13 +38,12 @@ class FiniteTopology:
         self._closed_set_set = set(closed_sets)
         self.closed_sets = sorted(self._closed_set_set, key=canonical_key)
         self._validate()
-        self.opens = sorted({self.full ^ c for c in self.closed_sets}, key=canonical_key)
         # the family holds the full set and is closed under intersection, so
         # the meet of the members holding x is the least closed set holding x
-        self._point_closures = [self.full] * point_count
+        self.point_closures = [self.full] * point_count
         for c in self.closed_sets:
             for x in iter_bits(c):
-                self._point_closures[x] &= c
+                self.point_closures[x] &= c
 
     def _validate(self):
         if 0 not in self._closed_set_set:
@@ -60,6 +60,10 @@ class FiniteTopology:
                 if a & b not in self._closed_set_set:
                     raise TopologyAxiomError("family not closed under intersection")
 
+    @cached_property
+    def opens(self) -> list[int]:
+        return sorted({self.full ^ c for c in self.closed_sets}, key=canonical_key)
+
     def is_closed(self, subset: int) -> bool:
         return subset in self._closed_set_set
 
@@ -71,12 +75,8 @@ class FiniteTopology:
             raise ValueError(f"set has bits outside the space, lowest {stray}")
         out = 0
         for x in iter_bits(subset):
-            out |= self._point_closures[x]
+            out |= self.point_closures[x]
         return out
-
-    def point_closures(self) -> list[int]:
-        """The closure of each point, computed once from the closed family."""
-        return self._point_closures
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def separation_axioms(t: FiniteTopology) -> SeparationResult:
     The witness is a violating pair for the first failed axiom in
     (T0, T1, T2) order.
     """
-    closures = t.point_closures()
+    closures = t.point_closures
     t0_witness = t1_witness = t2_witness = None
     for x in range(t.point_count):
         for y in range(x + 1, t.point_count):
@@ -146,7 +146,7 @@ def irreducible_closed_with_generic_points(t: FiniteTopology) -> list[tuple[int,
 
     A generic point of a closed set C is a point whose closure equals C.
     """
-    closures = t.point_closures()
+    closures = t.point_closures
     out = []
     for c in t.closed_sets:
         if is_irreducible(t, c)[0]:

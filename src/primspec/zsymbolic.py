@@ -29,6 +29,8 @@ _MR_ROWS = (
     (3825123056546413051, 9),
     (318665857834031151167461, 12),
 )
+# psi_13: from here on a number that passes all 13 bases may be composite
+MR_EXACT_BELOW = 3317044064679887385961981
 # the 54 primes below 256, which factorize divides out before rho
 _TRIAL_PRIMES = tuple(p for p in range(2, 256) if all(p % q for q in range(2, isqrt(p) + 1)))
 

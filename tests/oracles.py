@@ -111,7 +111,7 @@ def a2_by_mode(lattice, family: list[int], mode: str):
         # once a^n lands in an ideal all later powers stay, so a uniform
         # exponent exists exactly when a per-ideal exponent exists for
         # every family member whose radical contains a
-        top = ring.top_powers()
+        top = ring.top_powers
         for a in range(ring.size):
             for i in family:
                 imask = lattice.masks[i]
@@ -349,7 +349,7 @@ def by_rows_by_entry(left_table: list[list[int]], right_table: list[list[int]], 
     return out
 
 
-def polynomial_quotient(base, modulus, var, label, spec):
+def polynomial_quotient(base, modulus, var, label):
     """Slow oracle for the quotient builder: every product multiplied out as
     a polynomial and reduced by the modulus, n^2 times."""
     deg = len(modulus) - 1
@@ -403,7 +403,7 @@ def polynomial_quotient(base, modulus, var, label, spec):
         mul.append(row)
     one = encode([base.one_index] + [0] * (deg - 1))
     names = [_poly_element_name(c, base.element_names, var) for c in coeffs_of]
-    return FiniteRing(size, add, mul, neg, one, label, names, spec)
+    return FiniteRing(size, add, mul, neg, one, label, names)
 
 
 def oracle_ring(spec) -> FiniteRing:
@@ -415,12 +415,12 @@ def oracle_ring(spec) -> FiniteRing:
     if isinstance(spec, ZnSpec) or (isinstance(spec, GFSpec) and spec.k == 1):
         n = spec_size(spec)
         add, mul, neg = zn_tables_by_entry(n)
-        return FiniteRing(n, add, mul, neg, 1, label, [str(i) for i in range(n)], spec)
+        return FiniteRing(n, add, mul, neg, 1, label, [str(i) for i in range(n)])
     if isinstance(spec, GFSpec):
         base = oracle_ring(ZnSpec(spec.p))
-        return polynomial_quotient(base, find_irreducible_poly(spec.p, spec.k), "a", label, spec)
+        return polynomial_quotient(base, find_irreducible_poly(spec.p, spec.k), "a", label)
     if isinstance(spec, QuotSpec):
-        return polynomial_quotient(oracle_ring(spec.base), spec.modulus, "x", label, spec)
+        return polynomial_quotient(oracle_ring(spec.base), spec.modulus, "x", label)
     left, right = oracle_ring(spec.left), oracle_ring(spec.right)
     rs = right.size
     add = by_rows_by_entry(left.add, right.add, rs)
@@ -428,7 +428,7 @@ def oracle_ring(spec) -> FiniteRing:
     neg = [x * rs + y for x in left.neg for y in right.neg]
     one = left.one_index * rs + right.one_index
     names = [f"({a},{b})" for a in left.element_names for b in right.element_names]
-    return FiniteRing(left.size * rs, add, mul, neg, one, label, names, spec)
+    return FiniteRing(left.size * rs, add, mul, neg, one, label, names)
 
 
 def every_spec(limit: int) -> list:

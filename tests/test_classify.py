@@ -206,7 +206,7 @@ def _star_condition_by_elements(lattice, spectrum):
     """Slow oracle: for each r with a proper non-empty X_r, the union of
     X_s over the nonzero s with X_s not containing X_r, one s at a time."""
     ring = lattice.ring
-    opens, full = spectrum.basic_opens(), spectrum.full
+    opens, full = spectrum.basic_opens, spectrum.full
     for r in range(ring.size):
         xr = opens[r]
         if not xr or xr == full:
@@ -236,11 +236,11 @@ def test_star_condition_agrees_with_scalar_scan(text):
 def test_star_condition_witness_matches_scalar_scan_on_corrupted_opens(monkeypatch):
     # every way of corrupting one basic open of Zn(12) to another point set
     a = analyze_ring("Zn(12)")
-    opens = list(a.prim.basic_opens())
+    opens = list(a.prim.basic_opens)
     failures = 0
     for r, v in itertools.product(range(len(opens)), range(a.prim.full + 1)):
         corrupted = opens[:r] + [v] + opens[r + 1 :]
-        monkeypatch.setattr(a.prim, "basic_opens", lambda c=corrupted: c)
+        monkeypatch.setattr(a.prim, "basic_opens", corrupted)
         expected = _star_condition_by_elements(a.lattice, a.prim)
         assert star_condition(a.lattice, a.prim) == expected, (r, v)
         failures += not expected[0]
@@ -457,11 +457,11 @@ def test_mode_fold_agrees_with_subfamily_oracle(corpus_suite):
 def test_generator_fold_names_a_smallest_failing_set(monkeypatch):
     a = analyze_ring("Zn(12)")
     full = a.prim.full
-    opens = list(a.prim.basic_opens())
+    opens = list(a.prim.basic_opens)
     # 4 and 8 generate the same ideal; claim their basic opens are full, so
     # that they cut out no point
     opens[4] = opens[8] = full
-    monkeypatch.setattr(a.prim, "basic_opens", lambda: opens)
+    monkeypatch.setattr(a.prim, "basic_opens", opens)
 
     def variety(elements):
         # V(S) is the meet of the V({r}), each the complement of r's open
@@ -478,7 +478,7 @@ def test_basic_open_product_names_the_last_failing_pair():
     ring = copy.copy(a.ring)
     ring.mul = [list(row) for row in ring.mul]
     ring.mul[2][5] = 3  # 2 * 5 is 10, whose open is D(2), not D(3)
-    x = a.prim.basic_opens()
+    x = a.prim.basic_opens
     failing = [
         (r, s)
         for r in range(ring.size)
@@ -498,9 +498,9 @@ def test_missing_cover_fails_the_quasi_compact_laws(monkeypatch):
     a = analyze_ring("Zn(8)")
     full = a.prim.full
     # without the full open, the units' opens have no cover
-    family = [u for u in a.prim.basic_open_family() if u != full]
+    family = [u for u in a.prim.basic_open_family if u != full]
     assert family == [0]
-    monkeypatch.setattr(a.prim, "basic_open_family", lambda: family)
+    monkeypatch.setattr(a.prim, "basic_open_family", family)
     report = verify_theorems(a)
     entry = report.entry("basic-open-quasi-compact")
     assert not entry.passed and entry.witness == "7"
@@ -675,11 +675,11 @@ def test_row_wise_basic_open_laws_name_the_scalar_witness(monkeypatch, r, corrup
     # report names the pair the scan over every pair names
     a = analyze_ring("Zn(12)")
     ring, lat = a.ring, a.lattice
-    original = Spectrum.basic_opens
+    original = Spectrum.basic_opens.func
     opens = list(original(a.prim))
     opens[r] = corrupt(opens[r], a.prim.full)
     monkeypatch.setattr(
-        Spectrum, "basic_opens", lambda self: opens if self is a.prim else original(self)
+        Spectrum, "basic_opens", property(lambda self: opens if self is a.prim else original(self))
     )
     rads = [
         lat.mask(lat.radical_ids[lat.id_of(ideal_generated_by(ring, [g]))])
@@ -727,9 +727,9 @@ def test_uniform_exponent_family_verdict_is_the_and_of_its_members(corpus_suite)
     # top powers corrupted after the lattice is built: the unit 5 of Zn(12)
     # reads as lying in every radical, and its powers 5, 1 never reach (0)
     a = analyze_ring("Zn(12)")
-    top = list(a.ring.top_powers())
+    top = list(a.ring.top_powers)
     top[5] = 0
-    a.ring._top_powers = top
+    a.ring.top_powers = top
     report = verify_theorems(a)
     assert not _uniform_exponent_holds(a, report)
     assert not report.entry("uniform-exponent-mode-agreement").passed
@@ -747,8 +747,8 @@ def test_uniform_exponent_family_verdict_is_the_and_of_its_members(corpus_suite)
 def test_basic_open_quasi_compact_names_the_last_failing_element(monkeypatch):
     # a family whose union is empty covers no nonempty basic open
     a = analyze_ring("Zn(12)")
-    monkeypatch.setattr(a.prim, "basic_open_family", lambda: [0])
-    x = a.prim.basic_opens()
+    monkeypatch.setattr(a.prim, "basic_open_family", [0])
+    x = a.prim.basic_opens
     last = max(r for r in range(a.ring.size) if x[r])
     entry = verify_theorems(a).entry("basic-open-quasi-compact")
     assert (entry.passed, entry.witness) == (False, a.ring.element_names[last])

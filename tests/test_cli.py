@@ -1,5 +1,6 @@
 """CLI surface: commands, output formats, exit-code contract, corpus files."""
 
+import collections
 import copy
 import dataclasses
 import json
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primspec import cli
-from primspec.classify import analyze_ring
+from primspec import classify, cli
+from primspec.classify import analyze_ring, verify_theorems
 from primspec.cli import main
 from primspec.corpus import DEFAULT_CORPUS, default_corpus, load_corpus, parse_corpus_lines
 from primspec.rings import RingSpecError, parse_ring_spec
@@ -73,11 +74,11 @@ def test_check_matrix(capsys, prop, spec, expected):
 
 
 def test_check_quasi_compact_reports_a_missing_cover(capsys, monkeypatch):
-    family = Spectrum.basic_open_family
+    family = Spectrum.basic_open_family.func
     monkeypatch.setattr(
         Spectrum,
         "basic_open_family",
-        lambda self: [u for u in family(self) if u != self.full],
+        property(lambda self: [u for u in family(self) if u != self.full]),
     )
     code, out, err = run(capsys, "check", "quasi-compact", "Zn(8)")
     assert (code, out, err) == (1, "quasi-compact: false  (family misses points [0, 1, 2])\n", "")
@@ -95,9 +96,9 @@ def _radical_of_zero_read_as_zero(a):
 def _unit_read_as_nilpotent(a):
     # the unit 5 reads as lying in every radical, and its powers 5, 1 never
     # reach a proper ideal
-    top = list(a.ring.top_powers())
+    top = list(a.ring.top_powers)
     top[5] = 0
-    a.ring._top_powers = top
+    a.ring.top_powers = top
     return a
 
 
@@ -234,6 +235,58 @@ def test_prod_nesting_bound_is_64():
     assert str(parse_ring_spec(spec, 2**1000)) == spec
     with pytest.raises(RingSpecError, match="Prod nested deeper than 64"):
         parse_ring_spec("Prod(Zn(2), " + spec + ")", 2**1000)
+
+
+def test_gf_at_psi13_rejected_exit_2(capsys):
+    # psi_13 is composite but passes Miller-Rabin to all 13 bases
+    psi13 = "3317044064679887385961981"
+    code, out, err = run(capsys, "info", f"GF({psi13})", "--max-elements", str(10**25))
+    assert (code, out) == (2, "") and f"is not below {psi13}" in err
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the spectra built, by kind, and of the ``classify_ring``
+    calls, from here to the end of the test."""
+    counts = collections.Counter()
+    init, classify_ring = Spectrum.__init__, classify.classify_ring
+
+    def counted_init(self, lattice, kind):
+        counts[kind] += 1
+        init(self, lattice, kind)
+
+    def counted_classify(lattice):
+        counts["classify"] += 1
+        return classify_ring(lattice)
+
+    monkeypatch.setattr(Spectrum, "__init__", counted_init)
+    monkeypatch.setattr(classify, "classify_ring", counted_classify)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["ideals", "Zn(12)"], {}),
+        (["export", "Zn(12)", "--graph", "ideal-lattice"], {}),
+        (["prim", "Zn(12)"], {"primary": 1}),
+        (["export", "Zn(12)", "--graph", "specialization"], {"primary": 1}),
+        (["spec", "Zn(12)"], {"prime": 1}),
+        (["check", "t0", "Zn(12)"], {"primary": 1}),
+        (["info", "Zn(12)"], {"primary": 1, "prime": 1, "classify": 1}),
+        (["export", "Zn(12)"], {"primary": 1, "prime": 1, "classify": 1}),
+    ],
+    ids=["ideals", "ideal-lattice", "prim", "specialization", "spec", "t0", "info", "export"],
+)
+def test_each_command_builds_only_what_it_reads(capsys, builds, argv, built):
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    assert builds == built
+
+
+def test_verify_theorems_builds_no_prime_spectrum(builds):
+    assert verify_theorems(analyze_ring("Zn(12)")).all_passed
+    assert builds == {"primary": 1, "classify": 1}
 
 
 GLOBAL_FLAG_CASES = [

@@ -90,7 +90,7 @@ def check_zn(n: int, v_rad=v_rad_z, cover=zn_cover) -> None:
     points = _positions(prim, {lat.id_of(zn_image(n, q)): q for q in _prime_powers(n)})
     for pos, q in enumerate(points):
         assert prim.closure(1 << pos) == _restricted(points, closure_z(q).contains), (n, q)
-    opens = prim.basic_opens()
+    opens = prim.basic_opens
     for r in range(n):
         v = v_rad(r)
         assert opens[r] == _restricted(points, lambda q: not v.contains(q)), (n, r)

@@ -125,9 +125,9 @@ def test_ideal_cap_fires_exactly_above_the_lattice_size(text):
 def test_arithmetic_examples():
     lat = _lattice("Zn(12)")
     i4, i3 = _id(lat, [0, 4, 8]), _id(lat, [0, 3, 6, 9])
-    assert lat.product_table()[i4][i3] == lat.zero_id
+    assert lat.product_table[i4][i3] == lat.zero_id
     assert lat.id_of(lat.mask(i4) & lat.mask(i3)) == lat.zero_id
-    assert lat.sum_table()[i4][i3] == lat.unit_id
+    assert lat.sum_table[i4][i3] == lat.unit_id
     lat6 = _lattice("Zn(6)")
     i2, i3 = _id(lat6, [0, 2, 4]), _id(lat6, [0, 3])
     assert lat6.id_of(lat6.mask(i2) & lat6.mask(i3)) == lat6.zero_id
@@ -193,7 +193,7 @@ def test_flag_sanity_chain(text):
 @pytest.mark.parametrize("text", CHECK_RINGS)
 def test_radical_laws_exhaustive(text):
     lat = _lattice(text)
-    rad, products = lat.radical_ids, lat.product_table()
+    rad, products = lat.radical_ids, lat.product_table
     for i, j in itertools.product(range(len(lat)), repeat=2):
         meet_rad = lat.mask(rad[i]) & lat.mask(rad[j])
         assert lat.mask(rad[lat.id_of(lat.mask(i) & lat.mask(j))]) == meet_rad
@@ -301,7 +301,7 @@ def test_sums_of_principal_ideals_agree_with_closure_oracle(text):
         assert ideal_generated_by(ring, gens) == expected, gens
         assert _generated(lat, gens) == expected, gens
 
-    sums, products = lat.sum_table(), lat.product_table()
+    sums, products = lat.sum_table, lat.product_table
     for i, j in itertools.product(range(len(lat)), repeat=2):
         expected = _closure_of_products(ring, iter_bits(lat.mask(i)), list(iter_bits(lat.mask(j))))
         assert lat.mask(products[i][j]) == expected, (lat.render(i), lat.render(j))
@@ -383,7 +383,7 @@ def test_top_powers_decide_radicals_like_the_power_walk(text):
     # x is in rad(I) exactly when some power of x lies in I
     ring = _ring(text)
     lat = enumerate_ideals(ring)
-    top, powers = ring.top_powers(), _power_masks(ring)
+    top, powers = ring.top_powers, _power_masks(ring)
     for i, mask in enumerate(lat.masks):
         rad = mask_of(x for x in range(ring.size) if powers[x] & mask)
         for x in range(ring.size):
@@ -436,7 +436,7 @@ def _product_mask(ring, a, b):
 
 
 def _assert_sums_and_products_agree(ring, lat):
-    sums, products = lat.sum_table(), lat.product_table()
+    sums, products = lat.sum_table, lat.product_table
     for i, j in itertools.product(range(len(lat)), repeat=2):
         a, b = lat.mask(i), lat.mask(j)
         assert lat.mask(sums[i][j]) == _pairwise_sum_mask(ring, a, b), (i, j)
@@ -530,7 +530,7 @@ def test_product_is_a_sum_of_multiples_not_their_union():
     expected = _additive_closure(ring, products)
     assert products != expected
     assert expected == ideal_generated_by(ring, [index("4"), index("2x"), index("x^2")])
-    assert lat.mask(lat.product_table()[m][m]) == expected
+    assert lat.mask(lat.product_table[m][m]) == expected
 
 
 def _is_prime_by_elements(lattice, i):

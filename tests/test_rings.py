@@ -127,6 +127,12 @@ def test_parse_large_gf_decided_fast(text, expected):
     assert time.perf_counter() - started < 2.0
 
 
+# psi_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# the 13 prime bases 2, ..., 41; PSI13 - 168 and PSI13 + 142 are the primes
+# next to it
+PSI13 = 3317044064679887385961981
+
+
 @pytest.mark.parametrize(
     "text, cap, expected",
     [
@@ -136,13 +142,29 @@ def test_parse_large_gf_decided_fast(text, expected):
         ("GF(1373677^2)", 2 * 10**12, GFSpec(1373677, 2)),
         ("GF(25326001)", 10**8, "25326001 is not a prime power"),
         ("GF(25326023)", 10**8, GFSpec(25326023, 1)),
+        (f"GF({PSI13})", 10**25, f"{PSI13} is not below {PSI13}"),
+        (f"GF({PSI13}^1)", 10**25, f"{PSI13} is not below {PSI13}"),
+        (f"GF({PSI13 + 142})", 10**25, f"{PSI13 + 142} is not below {PSI13}"),
+        (f"GF({PSI13 - 168})", 10**25, GFSpec(PSI13 - 168, 1)),
     ],
-    ids=["psi4", "prime-past-psi4", "psi2-squared", "prime-past-psi2-squared", "psi3", "prime-past-psi3"],
+    ids=[
+        "psi4",
+        "prime-past-psi4",
+        "psi2-squared",
+        "prime-past-psi2-squared",
+        "psi3",
+        "prime-past-psi3",
+        "psi13",
+        "psi13-power",
+        "prime-past-psi13",
+        "prime-below-psi13",
+    ],
 )
 def test_parse_gf_near_strong_pseudoprimes(text, cap, expected):
     # parse only; psi_k is the least strong pseudoprime to the first k prime
     # bases, so a primality test that stopped after k bases at psi_k would
-    # take it for a prime
+    # take it for a prime.  All 13 bases pass psi_13 itself, so from psi_13 on
+    # a characteristic is rejected whatever the test says.
     if isinstance(expected, str):
         with pytest.raises(RingSpecError, match=expected):
             parse_ring_spec(text, max_elements=cap)

@@ -76,10 +76,10 @@ def test_kind_mismatch_raises():
 
 def test_basic_open_examples():
     ring, lat, prim = _setup("Zn(8)")
-    assert prim.basic_opens()[ring.one_index] == prim.full
-    assert prim.basic_opens()[2] == 0
+    assert prim.basic_opens[ring.one_index] == prim.full
+    assert prim.basic_opens[2] == 0
     ring6, lat6, prim6 = _setup("Zn(6)")
-    assert prim6.basic_opens()[2] == 1 << _pos(prim6, [0, 3])
+    assert prim6.basic_opens[2] == 1 << _pos(prim6, [0, 3])
 
 
 def test_xi_examples():
@@ -126,7 +126,7 @@ def test_variety_extremes(text):
 def test_variety_pair_laws_exhaustive(text):
     _, lat, prim = _setup(text)
     varieties = [prim.variety(i) for i in range(len(lat))]
-    sums, products = lat.sum_table(), lat.product_table()
+    sums, products = lat.sum_table, lat.product_table
     for i, j in itertools.product(range(len(lat)), repeat=2):
         union = varieties[i] | varieties[j]
         assert varieties[lat.id_of(lat.mask(i) & lat.mask(j))] == union
@@ -152,7 +152,7 @@ def test_variety_radical_and_generator_invariance(text):
 @pytest.mark.parametrize("text", LAW_RINGS)
 def test_basic_open_laws_exhaustive(text):
     ring, lat, prim = _setup(text)
-    opens = prim.basic_opens()
+    opens = prim.basic_opens
     principal_rad = [
         lat.mask(lat.radical_ids[lat.id_of(ideal_generated_by(ring, [r]))])
         for r in range(ring.size)

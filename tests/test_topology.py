@@ -149,7 +149,7 @@ def _closures_match_the_scan(topo):
     for y in range(1 << topo.point_count):
         expected = topo.closed_sets[least_superset(topo.closed_sets, y)]
         assert topo.closure(y) == expected, (topo.closed_sets, y)
-    assert topo.point_closures() == [topo.closure(1 << x) for x in range(topo.point_count)]
+    assert topo.point_closures == [topo.closure(1 << x) for x in range(topo.point_count)]
 
 
 def test_closure_matches_the_least_superset_scan(corpus_analyses):
@@ -245,7 +245,7 @@ def test_base_check_failure_names_the_missed_open(monkeypatch):
     assert uncovered_open(SIERPINSKI, SIERPINSKI.opens) is None
     assert is_spectral(SIERPINSKI, SIERPINSKI.opens) and not is_spectral(SIERPINSKI, [0])
     prim = analyze_ring("Zn(6)").prim
-    monkeypatch.setattr(prim, "basic_open_family", lambda: [0])
+    monkeypatch.setattr(prim, "basic_open_family", [0])
     assert prim.is_base() == (False, 0b01)
 
 
@@ -312,7 +312,7 @@ def test_prim_z8_topology_profile():
     entries = irreducible_closed_with_generic_points(prim)
     assert len(entries) == 1 and entries[0][1].bit_count() == 3
     assert not is_sober(prim)
-    assert not is_spectral(prim, prim.basic_open_family())
+    assert not is_spectral(prim, prim.basic_open_family)
     assert is_supercompact(prim)[0]
 
 
@@ -323,14 +323,14 @@ def test_prim_z6_topology_profile():
     verdict, witness = is_irreducible(prim)
     assert verdict is False and witness is not None
     assert is_sober(prim)
-    assert is_spectral(prim, prim.basic_open_family())
+    assert is_spectral(prim, prim.basic_open_family)
     verdict, family = is_supercompact(prim)
     assert verdict is False and len(family) == 2
 
 
 def test_quasi_compact_basic_open_subcovers():
     prim = analyze_ring("Zn(12)").prim
-    cover = prim.basic_opens()
+    cover = prim.basic_opens
     x2 = cover[2]
     chosen = is_quasi_compact(prim, x2, cover)
     covered = _union(cover[i] for i in chosen)
