@@ -40,10 +40,6 @@ from .topology import (  # noqa: F401
     irreducible_closed_with_generic_points,
     is_irreducible,
     is_quasi_compact,
-    is_sober,
-    is_spectral,
-    is_supercompact,
-    separation_axioms,
 )
 from .zsymbolic import (  # noqa: F401
     A2FailureWitness,

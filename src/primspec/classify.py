@@ -1,7 +1,8 @@
 """Ring-level predicates and the property-verification suite.
 
 ``analyze_ring`` bundles ring and ideal lattice, built at once, with both
-spectra and the classification record, each built on first read;
+spectra, the classification record and the W-ring verdict, each built on
+first read;
 ``verify_theorems`` evaluates every checked law on that bundle, reporting
 each biconditional with both sides computed independently.
 """
@@ -29,13 +30,7 @@ from .rings import (
     unit_and_nilpotent_flags,
 )
 from .spectra import Spectrum
-from .topology import (
-    is_irreducible,
-    is_sober,
-    is_spectral,
-    is_supercompact,
-    separation_axioms,
-)
+from .topology import is_irreducible
 
 
 @dataclass
@@ -44,31 +39,27 @@ class RingClassification:
     is_local: bool
     is_zero_dimensional: bool
     is_p_ring: bool
-    is_w_ring: bool
     krull_dimension: int
     maximal_ideals: list[int]
     prime_ideals: list[int]
     primary_ideals: list[int]
-    w_ring_witness: str | None = None
 
 
 def classify_ring(lattice: IdealLattice) -> RingClassification:
-    """Field/local/zero-dimensional/P-ring/W-ring flags plus ideal id lists."""
+    """Field/local/zero-dimensional/P-ring flags plus ideal id lists, all
+    read off the lattice's flags; the W-ring verdict is ``is_w_ring``."""
     primes = [i for i in range(len(lattice)) if lattice.prime[i]]
     maximals = [i for i in range(len(lattice)) if lattice.maximal[i]]
     primaries = [i for i in range(len(lattice)) if lattice.primary[i]]
-    w, w_witness = is_w_ring(lattice)
     return RingClassification(
         is_field=len(lattice) == 2,
         is_local=len(maximals) == 1,
         is_zero_dimensional=all(lattice.maximal[i] for i in primes),
         is_p_ring=all(lattice.maximal[i] for i in primaries),
-        is_w_ring=w,
         krull_dimension=_krull_dimension(lattice, primes),
         maximal_ideals=maximals,
         prime_ideals=primes,
         primary_ideals=primaries,
-        w_ring_witness=w_witness,
     )
 
 
@@ -291,6 +282,10 @@ class RingAnalysis:
     def classification(self) -> RingClassification:
         return classify_ring(self.lattice)
 
+    @cached_property
+    def w_ring(self) -> tuple[bool, str | None]:
+        return is_w_ring(self.lattice)
+
 
 def analyze_ring(
     spec: RingSpecExpr | str,
@@ -427,13 +422,8 @@ def _pair_witness(names: list[str], fails) -> str | None:
     return witness
 
 
-def _law(report, entry_id, holds: bool, witness: str | None = None):
-    report.entries.append(
-        TheoremEntry(entry_id, THEOREM_CLAIMS[entry_id], True, holds, True, holds, witness)
-    )
-
-
-def _iff(report, entry_id, lhs, rhs, witness=None, applicable=True):
+def _iff(report, entry_id, lhs, rhs=True, witness=None, applicable=True):
+    """Record one entry; a law is a biconditional whose rhs is True."""
     passed = (not applicable) or lhs == rhs
     report.entries.append(
         TheoremEntry(
@@ -474,6 +464,7 @@ def verify_theorems(
             return report
     ring, lattice, prim = a.ring, a.lattice, a.prim
     cls = a.classification
+    w_ring, w_witness = a.w_ring
     report = TheoremReport(ring.label)
     n_ideals = len(lattice)
     all_pts = prim.full
@@ -487,7 +478,7 @@ def verify_theorems(
     names = ring.element_names
 
     # variety laws ---------------------------------------------------------
-    _law(
+    _iff(
         report,
         "variety-extremes",
         varieties[lattice.zero_id] == all_pts
@@ -505,7 +496,7 @@ def verify_theorems(
             j = next(j for j, u in enumerate(unions) if meets[j] != u or prods[j] != u)
             witness = f"{lattice.render(i)}, {lattice.render(j)}"
             break
-    _law(report, "variety-product-union", witness is None, witness)
+    _iff(report, "variety-product-union", witness is None, witness=witness)
 
     witness = None
     for i, vi in enumerate(varieties):
@@ -514,7 +505,7 @@ def verify_theorems(
         if row != sides:
             j = max(j for j in range(n_ideals) if row[j] != sides[j])
             witness = f"{lattice.render(i)}, {lattice.render(j)}"
-    _law(report, "variety-sum-intersection", witness is None, witness)
+    _iff(report, "variety-sum-intersection", witness is None, witness=witness)
 
     # every element set S, folded as (ideal generated by S, variety of S);
     # V({r}) is the complement of r's basic open, which the spectrum reads
@@ -527,7 +518,7 @@ def verify_theorems(
         lambda state: state[1] == varieties[state[0]],
     )
     witness = None if found is None else f"S={sorted(found)}"
-    _law(report, "variety-generators", found is None, witness)
+    _iff(report, "variety-generators", found is None, witness=witness)
 
     # i lies in j exactly when i + j is j
     holds, witness = True, None
@@ -535,26 +526,21 @@ def verify_theorems(
         for j, s in enumerate(sums[i]):
             if s == j and varieties[j] & ~vi:
                 holds, witness = False, f"{lattice.render(i)} in {lattice.render(j)}"
-    _law(report, "variety-antitone", holds, witness)
+    _iff(report, "variety-antitone", holds, witness=witness)
 
     holds, witness = True, None
     for i in range(n_ideals):
         if varieties[i] != varieties[lattice.radical_ids[i]]:
             holds, witness = False, lattice.render(i)
-    _law(report, "variety-radical-invariance", holds, witness)
+    _iff(report, "variety-radical-invariance", holds, witness=witness)
 
     # basic opens ------------------------------------------------------------
-    base_ok, base_witness = prim.is_base()
+    base_ok, base_witness = prim.is_base
     unit_laws = x[0] == 0 and x[ring.one_index] == all_pts
     for r in range(ring.size):
         if flags[r][0] and x[r] != all_pts:
             unit_laws = False
-    _law(
-        report,
-        "basic-opens-form-base",
-        base_ok and unit_laws,
-        None if base_ok else f"open {list(iter_bits(base_witness))} is not a union of basics",
-    )
+    _iff(report, "basic-opens-form-base", base_ok and unit_laws, witness=base_witness)
 
     # the next two laws are decided by whole rows: the two partitions of the
     # elements agree when pairing them adds no class, and row r of the
@@ -564,19 +550,19 @@ def verify_theorems(
     witness = None
     if not len(set(zip(x, rads))) == len(set(x)) == len(set(rads)):
         witness = _pair_witness(names, lambda r, s: (x[r] == x[s]) != (rads[r] == rads[s]))
-    _law(report, "basic-open-radical-test", witness is None, witness)
+    _iff(report, "basic-open-radical-test", witness is None, witness=witness)
 
     meets = {v: tuple([v & w for w in x]) for v in set(x)}
     witness = None
     if not all(itemgetter(*row)(x) == meets[v] for row, v in zip(ring.mul, x)):
         witness = _pair_witness(names, lambda r, s: x[ring.mul[r][s]] != x[r] & x[s])
-    _law(report, "basic-open-product", witness is None, witness)
+    _iff(report, "basic-open-product", witness is None, witness=witness)
 
     holds, witness = True, None
     for r in range(ring.size):
         if (x[r] == 0) != flags[r][1]:
             holds, witness = False, names[r]
-    _law(report, "basic-open-empty-iff-nilpotent", holds, witness)
+    _iff(report, "basic-open-empty-iff-nilpotent", holds, witness=witness)
 
     # a finite family covers a set exactly when the set lies in the family's
     # union; a failure names the last element whose open is not covered
@@ -584,8 +570,8 @@ def verify_theorems(
     for u in prim.basic_open_family:
         covered |= u
     bad = [names[r] for r in range(ring.size) if x[r] & ~covered]
-    _law(report, "basic-open-quasi-compact", not bad, bad[-1] if bad else None)
-    _law(report, "space-quasi-compact", all_pts & ~covered == 0)
+    _iff(report, "basic-open-quasi-compact", not bad, witness=bad[-1] if bad else None)
+    _iff(report, "space-quasi-compact", all_pts & ~covered == 0)
 
     # star condition ---------------------------------------------------------
     nonzero_primes = [i for i in cls.prime_ideals if lattice.mask(i) != 1]
@@ -604,7 +590,7 @@ def verify_theorems(
     # every family of primaries is a family of ideals, so their conjunct
     # adds nothing to the all-ideal family's verdict
     a2 = a_conditions(lattice, list(range(n_ideals)))
-    _law(report, "uniform-exponent-mode-agreement", a2.a2, a2.witness)
+    _iff(report, "uniform-exponent-mode-agreement", a2.a2, witness=a2.witness)
     _iff(report, "uniform-exponent-zero-dimensional", a2.a2, cls.is_zero_dimensional)
 
     # closures --------------------------------------------------------------
@@ -623,7 +609,7 @@ def verify_theorems(
     for pos, ideal_id in enumerate(prim.points):
         if point_closures[pos] != varieties[ideal_id]:
             holds, witness = False, prim.render_point(pos)
-    _law(report, "point-closure-is-variety", holds, witness)
+    _iff(report, "point-closure-is-variety", holds, witness=witness)
 
     holds, witness = True, None
     for pos_i, i in enumerate(prim.points):
@@ -632,10 +618,10 @@ def verify_theorems(
             expected = lattice.mask(i) & ~lattice.mask(lattice.radical_ids[j]) == 0
             if (closure_i >> pos_j & 1 == 1) != expected:
                 holds, witness = False, f"{lattice.render(i)}, {lattice.render(j)}"
-    _law(report, "specialization-radical-test", holds, witness)
+    _iff(report, "specialization-radical-test", holds, witness=witness)
 
     # separation ------------------------------------------------------------
-    sep = separation_axioms(prim)
+    sep = prim.separation
     injective = all(
         varieties[i] != varieties[j] for i in prim.points for j in prim.points if i < j
     )
@@ -643,18 +629,18 @@ def verify_theorems(
     _iff(report, "p-ring-iff-t0", cls.is_p_ring, sep.t0)
     _iff(report, "p-ring-iff-t2", cls.is_p_ring, sep.t2)
     four = {cls.is_p_ring, sep.t0, sep.t1, sep.t2}
-    _law(
+    _iff(
         report,
         "separation-equivalence",
         len(four) == 1,
-        None if len(four) == 1 else f"t0={sep.t0} t1={sep.t1} t2={sep.t2}",
+        witness=f"t0={sep.t0} t1={sep.t1} t2={sep.t2}",
     )
 
     holds, witness = True, None
     for pos, ideal_id in enumerate(prim.points):
         if not is_irreducible(prim, varieties[ideal_id])[0]:
             holds, witness = False, prim.render_point(pos)
-    _law(report, "point-varieties-irreducible", holds, witness)
+    _iff(report, "point-varieties-irreducible", holds, witness=witness)
 
     nil = lattice.nilradical_id()
     _iff(
@@ -664,24 +650,10 @@ def verify_theorems(
         lattice.primary[nil],
     )
 
-    _iff(
-        report,
-        "t0-iff-sober",
-        sep.t0,
-        is_sober(prim),
-        cls.w_ring_witness,
-        applicable=cls.is_w_ring,
-    )
-    _iff(
-        report,
-        "spectral-iff-t0",
-        is_spectral(prim, prim.basic_open_family),
-        sep.t0,
-        cls.w_ring_witness,
-        applicable=cls.is_w_ring,
-    )
+    _iff(report, "t0-iff-sober", sep.t0, prim.sober, w_witness, applicable=w_ring)
+    _iff(report, "spectral-iff-t0", prim.spectral, sep.t0, w_witness, applicable=w_ring)
 
-    supercompact, sc_witness = is_supercompact(prim)
+    supercompact, sc_witness = prim.supercompact
     if not supercompact:
         sc_witness = ", ".join(map(prim.render_point_set, sc_witness))
     _iff(

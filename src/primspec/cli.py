@@ -20,7 +20,7 @@ from .classify import (
     verify_theorems,
 )
 from .corpus import default_corpus, load_corpus
-from .ideals import DEFAULT_IDEAL_CAP, iter_bits
+from .ideals import DEFAULT_IDEAL_CAP
 from .report import build_report, dot_ideal_lattice, dot_specialization, spectrum_block
 from .rings import (
     DEFAULT_ELEMENT_CAP,
@@ -30,9 +30,7 @@ from .rings import (
     unit_and_nilpotent_flags,
 )
 from .spectra import Spectrum
-from .topology import CoverageError, is_quasi_compact, is_sober, is_spectral, is_supercompact
-from .topology import is_irreducible as topo_is_irreducible
-from .topology import separation_axioms
+from .topology import CoverageError, is_irreducible, is_quasi_compact
 from .zsymbolic import (
     NotACoverError,
     ZPrimaryIdeal,
@@ -44,25 +42,6 @@ from .zsymbolic import (
     v_rad_z,
     v_z,
 )
-
-CHECK_PROPERTIES = (
-    "t0",
-    "t1",
-    "t2",
-    "sober",
-    "spectral",
-    "irreducible",
-    "supercompact",
-    "quasi-compact",
-    "base",
-    "local",
-    "field",
-    "p-ring",
-    "w-ring",
-    "star",
-    "a2",
-)
-
 
 def non_negative_int(text: str) -> int:
     """The argparse type of the cap flags: a negative cap is a usage error."""
@@ -177,7 +156,7 @@ def cmd_info(args) -> int:
         "is_field": cls.is_field,
         "is_local": cls.is_local,
         "is_p_ring": cls.is_p_ring,
-        "is_w_ring": cls.is_w_ring,
+        "is_w_ring": a.w_ring[0],
         "galois_ring": isinstance(a.spec, QuotSpec) and a.spec.is_galois_ring(),
     }
     _emit(args, payload, "\n".join(f"{k}: {v}" for k, v in payload.items()))
@@ -234,48 +213,65 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _separation(axiom: str):
+    def check(a):
+        sep = a.prim.separation
+        value = getattr(sep, axiom)
+        return value, None if value else f"witness {sep.witness}"
+
+    return check
+
+
+def _irreducible(a):
+    value, wit = is_irreducible(a.prim)
+    return value, None if value else "witness " + ", ".join(map(a.prim.render_point_set, wit))
+
+
+def _supercompact(a):
+    value, wit = a.prim.supercompact
+    if value:
+        return True, None
+    return False, "covering family " + ", ".join(map(a.prim.render_point_set, wit))
+
+
+def _quasi_compact(a):
+    try:
+        chosen = is_quasi_compact(a.prim, a.prim.full, a.prim.basic_open_family)
+    except CoverageError as exc:
+        return False, str(exc)
+    return True, f"subcover of {len(chosen)} basic opens"
+
+
+def _a2(a):
+    res = a_conditions(a.lattice, list(range(len(a.lattice))))
+    return res.a2, res.witness
+
+
+# each property of ``check``, in help order: analysis -> (value, detail)
+CHECKS = {
+    "t0": _separation("t0"),
+    "t1": _separation("t1"),
+    "t2": _separation("t2"),
+    "sober": lambda a: (a.prim.sober, None),
+    "spectral": lambda a: (a.prim.spectral, None),
+    "irreducible": _irreducible,
+    "supercompact": _supercompact,
+    "quasi-compact": _quasi_compact,
+    "base": lambda a: a.prim.is_base,
+    "local": lambda a: (a.classification.is_local, None),
+    "field": lambda a: (a.classification.is_field, None),
+    "p-ring": lambda a: (a.classification.is_p_ring, None),
+    "w-ring": lambda a: a.w_ring,
+    "star": lambda a: star_condition(a.lattice, a.prim),
+    "a2": _a2,
+}
+CHECK_PROPERTIES = tuple(CHECKS)
+
+
 def cmd_check(args) -> int:
     a = _analyze(args)
     prop = args.property
-    detail = None
-    if prop in ("t0", "t1", "t2"):
-        sep = separation_axioms(a.prim)
-        value = getattr(sep, prop)
-        detail = f"witness {sep.witness}" if not value else None
-    elif prop == "sober":
-        value = is_sober(a.prim)
-    elif prop == "spectral":
-        value = is_spectral(a.prim, a.prim.basic_open_family)
-    elif prop == "irreducible":
-        value, wit = topo_is_irreducible(a.prim)
-        if not value:
-            detail = "witness " + ", ".join(map(a.prim.render_point_set, wit))
-    elif prop == "supercompact":
-        value, wit = is_supercompact(a.prim)
-        if not value:
-            detail = "covering family " + ", ".join(map(a.prim.render_point_set, wit))
-    elif prop == "quasi-compact":
-        try:
-            chosen = is_quasi_compact(a.prim, a.prim.full, a.prim.basic_open_family)
-            value, detail = True, f"subcover of {len(chosen)} basic opens"
-        except CoverageError as exc:
-            value, detail = False, str(exc)
-    elif prop == "base":
-        value, wit = a.prim.is_base()
-        detail = None if value else f"open {list(iter_bits(wit))} not a union of basics"
-    elif prop == "local":
-        value = a.classification.is_local
-    elif prop == "field":
-        value = a.classification.is_field
-    elif prop == "p-ring":
-        value = a.classification.is_p_ring
-    elif prop == "w-ring":
-        value, detail = a.classification.is_w_ring, a.classification.w_ring_witness
-    elif prop == "star":
-        value, detail = star_condition(a.lattice, a.prim)
-    else:  # a2
-        res = a_conditions(a.lattice, list(range(len(a.lattice))))
-        value, detail = res.a2, res.witness
+    value, detail = CHECKS[prop](a)
     label = prop.upper() if prop.startswith("t") and len(prop) == 2 else prop
     text = f"{label}: {str(value).lower()}" + (f"  ({detail})" if detail else "")
     payload = {"spec": str(a.spec), "property": prop, "value": value, "detail": detail}

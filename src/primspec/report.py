@@ -65,7 +65,7 @@ def build_report(
             "is_local": cls.is_local,
             "is_zero_dimensional": cls.is_zero_dimensional,
             "is_p_ring": cls.is_p_ring,
-            "is_w_ring": cls.is_w_ring,
+            "is_w_ring": analysis.w_ring[0],
             "krull_dimension": cls.krull_dimension,
             "maximal_ideals": cls.maximal_ideals,
             "prime_ideals": cls.prime_ideals,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -44,11 +45,11 @@ class CapExceededError(RuntimeError):
     """A construction would exceed a configured cap."""
 
 
-def _over_cap(size: int, cap: int) -> CapExceededError:
+def _over_cap(size: int, cap: int, bound: str = "element cap") -> CapExceededError:
     # a size past 64 bits is shown by magnitude: formatting an unbounded int
     # costs time and fails past the interpreter's digit limit
     shown = size if size.bit_length() <= 64 else f"at least 2^{size.bit_length() - 1}"
-    return CapExceededError(f"ring of size {shown} exceeds element cap {cap}")
+    return CapExceededError(f"ring of size {shown} exceeds {bound} {cap}")
 
 
 def _iroot(n: int, k: int) -> int:
@@ -197,7 +198,7 @@ class _Parser:
     def _digits(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected integer")
@@ -332,7 +333,7 @@ class _Parser:
         longer than the cap is rejected as over cap, even in a term that
         would cancel."""
         ch = self.peek()
-        if ch.isdigit():
+        if ch.isdecimal():
             coef = self.parse_coefficient(char)
             if self.peek() == "*":
                 self.pos += 1
@@ -628,11 +629,22 @@ def _build_product(left: FiniteRing, right: FiniteRing, label: str) -> FiniteRin
     return FiniteRing(size, add, mul, neg, one, label, names)
 
 
-def build_ring(spec: RingSpecExpr, max_elements: int = DEFAULT_ELEMENT_CAP) -> FiniteRing:
-    """Materialize the ring described by a validated spec expression."""
+def _checked_size(spec: RingSpecExpr, max_elements: int) -> int:
+    """The size of ``spec``; CapExceededError past the cap, or past
+    sys.maxsize, beyond which no table can be indexed whatever the cap."""
     size = spec_size(spec)
     if size > max_elements:
         raise _over_cap(size, max_elements)
+    if size > sys.maxsize:
+        raise _over_cap(size, sys.maxsize, "the index bound sys.maxsize =")
+    return size
+
+
+def build_ring(spec: RingSpecExpr, max_elements: int = DEFAULT_ELEMENT_CAP) -> FiniteRing:
+    """Materialize the ring described by a validated spec expression.  The
+    size is checked before anything is allocated; no factor is larger than
+    the whole, so the check guards every factor too."""
+    size = _checked_size(spec, max_elements)
     if isinstance(spec, ZnSpec) or isinstance(spec, GFSpec) and spec.k == 1:
         if size < 2:
             raise RingSpecError("Zn modulus must be at least 2")

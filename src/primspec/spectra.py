@@ -5,12 +5,13 @@ sets ``variety(I) = {Q : I contained in the radical of Q}``; the prime
 spectrum uses the classical ``{P : I contained in P}``.  Point sets are int
 bit-masks over point positions: bit i stands for ``points[i]``.  A spectrum
 is itself a ``FiniteTopology``, so the ``topology`` checkers take it
-directly.  Closed sets are stored deduplicated, each with back-references to
-every generating ideal.
+directly, and its verdicts are cached attributes.  Closed sets are stored
+deduplicated, each with back-references to every generating ideal.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 from .ideals import IdealLattice, canonical_key, iter_bits
@@ -59,6 +60,29 @@ class Spectrum(FiniteTopology):
         """Deduplicated basic opens, canonically ordered."""
         return sorted(set(self.basic_opens), key=canonical_key)
 
+    @cached_property
+    def is_base(self) -> tuple[bool, str | None]:
+        """Do the basic opens generate every open set by union?  On failure
+        the witness names the first open they miss."""
+        missed = uncovered_open(self, self.basic_open_family)
+        if missed is None:
+            return True, None
+        return False, f"open {list(iter_bits(missed))} is not a union of basics"
+
+    @cached_property
+    def spectral(self) -> bool:
+        """Sober, with the basic opens a base of quasi-compact opens closed
+        under pairwise intersection.  Every open of a finite space, the space
+        itself too, is quasi-compact, so only sobriety and the base are
+        checked."""
+        family = set(self.basic_open_family)
+        return (
+            self.sober
+            and family <= set(self.opens)
+            and all(a & b in family for a, b in itertools.combinations(family, 2))
+            and self.is_base[0]
+        )
+
     # -- point sets ----------------------------------------------------------
 
     def xi(self, point_set: int) -> int:
@@ -70,12 +94,6 @@ class Spectrum(FiniteTopology):
         for pos in iter_bits(point_set):
             mask &= self.lattice.mask(self.points[pos])
         return self.lattice.id_of(mask)
-
-    def is_base(self) -> tuple[bool, int | None]:
-        """Do the basic opens generate every open set by union?  On failure
-        the second value is the first open they miss."""
-        missed = uncovered_open(self, self.basic_open_family)
-        return missed is None, missed
 
     def render_point(self, pos: int) -> str:
         return self.lattice.render(self.points[pos])

@@ -25,11 +25,21 @@ class CoverageError(ValueError):
     """A purported cover does not cover the target subset."""
 
 
+@dataclass(frozen=True)
+class SeparationResult:
+    t0: bool
+    t1: bool
+    t2: bool
+    witness: tuple[int, int] | None
+
+
 class FiniteTopology:
     """Finite topological space: ``point_count`` points plus closed sets.
 
     The closed family is validated once, here; ``closed_sets`` and ``opens``
-    (built on first read) are deduplicated and in canonical order.
+    (built on first read) are deduplicated and in canonical order.  The
+    verdicts ``separation``, ``sober`` and ``supercompact`` are computed on
+    first read and kept.
     """
 
     def __init__(self, point_count: int, closed_sets):
@@ -78,46 +88,62 @@ class FiniteTopology:
             out |= self.point_closures[x]
         return out
 
+    @cached_property
+    def separation(self) -> SeparationResult:
+        """T0/T1/T2 by exhaustive point-pair scan.
 
-@dataclass(frozen=True)
-class SeparationResult:
-    t0: bool
-    t1: bool
-    t2: bool
-    witness: tuple[int, int] | None
-
-
-def separation_axioms(t: FiniteTopology) -> SeparationResult:
-    """T0/T1/T2 by exhaustive point-pair scan.
-
-    The witness is a violating pair for the first failed axiom in
-    (T0, T1, T2) order.
-    """
-    closures = t.point_closures
-    t0_witness = t1_witness = t2_witness = None
-    for x in range(t.point_count):
-        for y in range(x + 1, t.point_count):
-            if closures[x] == closures[y] and t0_witness is None:
-                t0_witness = (x, y)
-    for x in range(t.point_count):
-        if not t.is_closed(1 << x):
-            other = next(iter_bits(closures[x] & ~(1 << x)), x)
-            t1_witness = (x, other)
-            break
-    opens_with = [[u for u in t.opens if u >> x & 1] for x in range(t.point_count)]
-    for x in range(t.point_count):
-        for y in range(x + 1, t.point_count):
-            if not any(
-                not (u & v) for u in opens_with[x] for v in opens_with[y]
-            ):
-                t2_witness = (x, y)
+        The witness is a violating pair for the first failed axiom in
+        (T0, T1, T2) order.
+        """
+        closures = self.point_closures
+        t0_witness = t1_witness = t2_witness = None
+        for x in range(self.point_count):
+            for y in range(x + 1, self.point_count):
+                if closures[x] == closures[y] and t0_witness is None:
+                    t0_witness = (x, y)
+        for x in range(self.point_count):
+            if not self.is_closed(1 << x):
+                other = next(iter_bits(closures[x] & ~(1 << x)), x)
+                t1_witness = (x, other)
                 break
-        if t2_witness:
-            break
-    witness = t0_witness or t1_witness or t2_witness
-    return SeparationResult(
-        t0_witness is None, t1_witness is None, t2_witness is None, witness
-    )
+        opens_with = [[u for u in self.opens if u >> x & 1] for x in range(self.point_count)]
+        for x in range(self.point_count):
+            for y in range(x + 1, self.point_count):
+                if not any(
+                    not (u & v) for u in opens_with[x] for v in opens_with[y]
+                ):
+                    t2_witness = (x, y)
+                    break
+            if t2_witness:
+                break
+        witness = t0_witness or t1_witness or t2_witness
+        return SeparationResult(
+            t0_witness is None, t1_witness is None, t2_witness is None, witness
+        )
+
+    @cached_property
+    def sober(self) -> bool:
+        """Every irreducible closed set has exactly one generic point."""
+        return all(
+            generics.bit_count() == 1
+            for _, generics in irreducible_closed_with_generic_points(self)
+        )
+
+    @cached_property
+    def supercompact(self):
+        """Every open cover of the space contains the space itself.
+
+        Equivalent linear criterion: the proper opens do not cover the space.
+        (True, uncovered point) or (False, covering family of proper opens).
+        """
+        proper = [u for u in self.opens if u != self.full]
+        union = 0
+        for u in proper:
+            union |= u
+        if union != self.full:
+            return True, next(iter_bits(self.full & ~union))
+        chosen = is_quasi_compact(self, self.full, proper)
+        return False, [proper[i] for i in chosen]
 
 
 def is_irreducible(
@@ -158,14 +184,6 @@ def irreducible_closed_with_generic_points(t: FiniteTopology) -> list[tuple[int,
     return out
 
 
-def is_sober(t: FiniteTopology) -> bool:
-    """Every irreducible closed set has exactly one generic point."""
-    return all(
-        generics.bit_count() == 1
-        for _, generics in irreducible_closed_with_generic_points(t)
-    )
-
-
 def is_quasi_compact(t: FiniteTopology, subset: int, cover: list[int]) -> list[int]:
     """Greedy finite subcover of ``subset`` from ``cover`` (a list of opens).
 
@@ -201,35 +219,3 @@ def uncovered_open(t: FiniteTopology, family) -> int | None:
         if union != u:
             return u
     return None
-
-
-def is_spectral(t: FiniteTopology, base) -> bool:
-    """Quasi-compact + sober + ``base`` is a base of quasi-compact opens
-    closed under pairwise intersection.  Every open of a finite space, the
-    space itself too, is quasi-compact, so only sobriety and the base are
-    checked."""
-    if not is_sober(t):
-        return False
-    opens = set(t.opens)
-    family = set(base)
-    if not family <= opens:
-        return False
-    if any(a & b not in family for a, b in itertools.combinations(family, 2)):
-        return False
-    return uncovered_open(t, family) is None
-
-
-def is_supercompact(t: FiniteTopology):
-    """Every open cover of the space contains the space itself.
-
-    Equivalent linear criterion: the proper opens do not cover the space.
-    Returns (True, uncovered point) or (False, covering family of proper opens).
-    """
-    proper = [u for u in t.opens if u != t.full]
-    union = 0
-    for u in proper:
-        union |= u
-    if union != t.full:
-        return True, next(iter_bits(t.full & ~union))
-    chosen = is_quasi_compact(t, t.full, proper)
-    return False, [proper[i] for i in chosen]

@@ -161,6 +161,30 @@ def is_irreducible_by_relative_scan(t, subset: int | None = None):
     return True, None
 
 
+def is_spectral(t, base) -> bool:
+    """Slow oracle: the definition of a spectral space, for a finite space
+    ``t`` and a candidate ``base``.  Every finite space and every open of it
+    is quasi-compact, so it asks for sobriety (each irreducible closed set,
+    by the relative scan, is the closure of exactly one point, by a scan of
+    the closed family) and for ``base`` to be a family of opens closed under
+    pairwise intersection whose unions give every open."""
+    closures = [
+        t.closed_sets[least_superset(t.closed_sets, 1 << x)] for x in range(t.point_count)
+    ]
+    for c in t.closed_sets:
+        if is_irreducible_by_relative_scan(t, c)[0] and closures.count(c) != 1:
+            return False
+    opens = set(t.opens)
+    family = set(base)
+    if not family <= opens or any(a & b not in family for a in family for b in family):
+        return False
+
+    def union_inside(u):
+        return functools.reduce(int.__or__, (b for b in family if b & ~u == 0), 0)
+
+    return all(union_inside(u) == u for u in opens)
+
+
 def passes_strong_test(n: int, bases) -> bool:
     """Odd n > 1 coprime to each base is a strong probable prime to all of
     ``bases``."""

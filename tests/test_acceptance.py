@@ -22,7 +22,6 @@ from primspec.cli import main
 from oracles import a2_by_mode, ideal_generated_by
 from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, parse_ring_spec
-from primspec.topology import is_supercompact
 from primspec.zsymbolic import (
     ZERO_IDEAL,
     ZPrimaryIdeal,
@@ -176,7 +175,7 @@ def test_criterion_07_equivalence_theorems(corpus_suite):
             assert entry.lhs == entry.rhs, f"{text}: {entry_id}"
         for entry_id in ("t0-iff-sober", "spectral-iff-t0"):
             entry = report.entry(entry_id)
-            assert entry.applicable == (analysis.classification.is_w_ring is True)
+            assert entry.applicable == (analysis.w_ring[0] is True)
             if entry.applicable:
                 assert entry.lhs == entry.rhs, f"{text}: {entry_id}"
     _verdict(7, "separation/irreducibility/supercompact/sober equivalences, both sides")
@@ -266,7 +265,7 @@ def test_criterion_11_oracle_equivalences(corpus_analyses):
     for text, analysis in corpus_analyses.items():
         topo = analysis.prim
         if len(topo.opens) <= 12:
-            assert is_supercompact(topo)[0] == _supercompact_by_cover_enumeration(topo)
+            assert topo.supercompact[0] == _supercompact_by_cover_enumeration(topo)
             checked += 1
     assert checked >= 25
     prod = build_ring(parse_ring_spec("Prod(Zn(2), Zn(3))"))

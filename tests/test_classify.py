@@ -30,6 +30,7 @@ from oracles import (
 from primspec.ideals import enumerate_ideals, mask_of
 from primspec.rings import build_ring, check_ring_axioms, parse_ring_spec
 from primspec.spectra import Spectrum
+from primspec.topology import SeparationResult
 
 
 def test_classify_examples():
@@ -761,7 +762,63 @@ def test_every_law_holds_on_every_spec_up_to_32_elements():
         assert check_ring_axioms(a.ring) == [], str(spec)
         failures = verify_theorems(a).failures()
         assert failures == [], (str(spec), failures)
-        if not a.classification.is_w_ring:
+        if not a.w_ring[0]:
             non_w.append(str(spec))
     # the sweep reaches rings that are not W-rings, so that law is exercised
     assert len(non_w) == 4, non_w
+
+
+def _copy_with(obj, **attrs):
+    """A shallow copy of ``obj`` with ``attrs`` in place of its own
+    attributes or cached verdicts; ``obj`` is left as it was."""
+    out = copy.copy(obj)
+    vars(out).update(attrs)
+    return out
+
+
+def _with_classification(**flags):
+    return lambda a: _copy_with(a, classification=dataclasses.replace(a.classification, **flags))
+
+
+def _with_prim(**attrs):
+    return lambda a: _copy_with(a, prim=_copy_with(a.prim, **attrs))
+
+
+# entry, ring, mutation of one side's input, (lhs, rhs) it must produce;
+# each ring passes the entry with both sides true
+SIDE_MUTANTS = [
+    ("p-ring-iff-t2", "Zn(6)", _with_classification(is_p_ring=False), (False, True)),
+    # no two disjoint opens separate the two points, closures untouched
+    ("p-ring-iff-t2", "Zn(6)", _with_prim(opens=[0, 0b11]), (True, False)),
+    ("local-iff-supercompact", "Zn(8)", _with_classification(is_local=False), (False, True)),
+    # the proper opens {(0)} and {(4), (2)} cover the space
+    ("local-iff-supercompact", "Zn(8)", _with_prim(opens=[0, 0b001, 0b110, 0b111]), (True, False)),
+    # without the empty open, {(3)} and {(2)} meet outside the family
+    ("spectral-iff-t0", "Zn(6)", _with_prim(basic_open_family=[0b01, 0b10, 0b11]), (False, True)),
+    (
+        "spectral-iff-t0",
+        "Zn(6)",
+        _with_prim(separation=SeparationResult(False, False, False, (0, 1))),
+        (True, False),
+    ),
+    (
+        "t0-iff-sober",
+        "Zn(6)",
+        _with_prim(separation=SeparationResult(False, False, False, (0, 1))),
+        (False, True),
+    ),
+    ("t0-iff-sober", "Zn(6)", _with_prim(sober=False), (True, False)),
+]
+
+
+@pytest.mark.parametrize(
+    "entry_id, spec, mutate, sides",
+    SIDE_MUTANTS,
+    ids=[f"{m[0]}-{'lhs' if m[3][1] else 'rhs'}" for m in SIDE_MUTANTS],
+)
+def test_a_mutant_of_one_side_moves_that_side_only(entry_id, spec, mutate, sides):
+    a = analyze_ring(spec)
+    entry = verify_theorems(a).entry(entry_id)
+    assert (entry.applicable, entry.lhs, entry.rhs, entry.passed) == (True, True, True, True)
+    entry = verify_theorems(mutate(analyze_ring(spec))).entry(entry_id)
+    assert (entry.lhs, entry.rhs, entry.passed) == (*sides, False)

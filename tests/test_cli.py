@@ -15,11 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primspec import classify, cli
+from primspec import classify, cli, rings, spectra, topology
 from primspec.classify import analyze_ring, verify_theorems
 from primspec.cli import main
 from primspec.corpus import DEFAULT_CORPUS, default_corpus, load_corpus, parse_corpus_lines
-from primspec.rings import RingSpecError, parse_ring_spec
+from primspec.rings import CapExceededError, RingSpecError, ZnSpec, parse_ring_spec
 from primspec.spectra import Spectrum
 
 
@@ -244,24 +244,76 @@ def test_gf_at_psi13_rejected_exit_2(capsys):
     assert (code, out) == (2, "") and f"is not below {psi13}" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "Zn(100000000000000000000)",
+        "GF(18446744073709551629)",  # 2^64 + 13, a prime
+        "Prod(Zn(100000000000000000000), Zn(2))",
+    ],
+    ids=["zn", "gf", "prod"],
+)
+def test_ring_past_sys_maxsize_rejected_exit_3(capsys, spec):
+    # list(range(n)) refuses these sizes at once, so even a build that got
+    # past the check would fail fast rather than allocate
+    started = time.perf_counter()
+    code, out, err = run(capsys, "info", spec, "--max-elements", str(2**200))
+    assert time.perf_counter() - started < 2.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ring of size at least 2^") and err.count("\n") == 1
+    assert f"exceeds the index bound sys.maxsize = {sys.maxsize}" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["GF(2^70)", "Quot(Zn(2), x^70+1)", "Prod(Zn(4294967296), Zn(4294967296))"],
+    ids=["gf", "quot", "prod"],
+)
+def test_size_past_sys_maxsize_fails_the_size_check(spec):
+    # parsed and checked only: building these would exhaust memory
+    parsed = parse_ring_spec(spec, 2**200)
+    with pytest.raises(CapExceededError, match=r"index bound sys\.maxsize"):
+        rings._checked_size(parsed, 2**200)
+
+
+def test_size_check_admits_sys_maxsize_itself():
+    assert rings._checked_size(ZnSpec(sys.maxsize), 2**200) == sys.maxsize
+    with pytest.raises(CapExceededError, match="element cap 1024"):
+        rings._checked_size(ZnSpec(sys.maxsize + 1), 1024)
+
+
+def _counted(counts, key, fn):
+    def counted(*args):
+        counts[key] += 1
+        return fn(*args)
+
+    return counted
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of the spectra built, by kind, and of the ``classify_ring``
-    calls, from here to the end of the test."""
+    """Counts of the spectra built, by kind, and of the calls that build
+    the classification, the W-ring verdict, the sobriety scan and the base
+    scan, from here to the end of the test."""
     counts = collections.Counter()
-    init, classify_ring = Spectrum.__init__, classify.classify_ring
+    init = Spectrum.__init__
 
     def counted_init(self, lattice, kind):
         counts[kind] += 1
         init(self, lattice, kind)
 
-    def counted_classify(lattice):
-        counts["classify"] += 1
-        return classify_ring(lattice)
-
     monkeypatch.setattr(Spectrum, "__init__", counted_init)
-    monkeypatch.setattr(classify, "classify_ring", counted_classify)
+    for module, name, key in (
+        (classify, "classify_ring", "classify"),
+        (classify, "is_w_ring", "w_ring"),
+        (topology, "irreducible_closed_with_generic_points", "sober"),
+        (spectra, "uncovered_open", "base"),
+    ):
+        monkeypatch.setattr(module, name, _counted(counts, key, getattr(module, name)))
     return counts
+
+
+_EXPORT_READS = {"primary": 1, "prime": 1, "classify": 1, "w_ring": 1, "sober": 1, "base": 1}
 
 
 @pytest.mark.parametrize(
@@ -273,10 +325,34 @@ def builds(monkeypatch):
         (["export", "Zn(12)", "--graph", "specialization"], {"primary": 1}),
         (["spec", "Zn(12)"], {"prime": 1}),
         (["check", "t0", "Zn(12)"], {"primary": 1}),
-        (["info", "Zn(12)"], {"primary": 1, "prime": 1, "classify": 1}),
-        (["export", "Zn(12)"], {"primary": 1, "prime": 1, "classify": 1}),
+        (["check", "field", "Zn(12)"], {"classify": 1}),
+        (["check", "local", "Zn(12)"], {"classify": 1}),
+        (["check", "p-ring", "Zn(12)"], {"classify": 1}),
+        (["check", "w-ring", "Zn(12)"], {"w_ring": 1}),
+        (["check", "sober", "Zn(12)"], {"primary": 1, "sober": 1}),
+        (["check", "spectral", "Zn(6)"], {"primary": 1, "sober": 1, "base": 1}),
+        (["info", "Zn(12)"], {"primary": 1, "prime": 1, "classify": 1, "w_ring": 1}),
+        (["export", "Zn(12)"], _EXPORT_READS),
+        # sober, so spectrality reads the base verdict as well
+        (["export", "Zn(6)"], _EXPORT_READS),
     ],
-    ids=["ideals", "ideal-lattice", "prim", "specialization", "spec", "t0", "info", "export"],
+    ids=[
+        "ideals",
+        "ideal-lattice",
+        "prim",
+        "specialization",
+        "spec",
+        "t0",
+        "field",
+        "local",
+        "p-ring",
+        "w-ring",
+        "sober",
+        "spectral",
+        "info",
+        "export",
+        "export-sober",
+    ],
 )
 def test_each_command_builds_only_what_it_reads(capsys, builds, argv, built):
     code, _, err = run(capsys, *argv)
@@ -286,7 +362,20 @@ def test_each_command_builds_only_what_it_reads(capsys, builds, argv, built):
 
 def test_verify_theorems_builds_no_prime_spectrum(builds):
     assert verify_theorems(analyze_ring("Zn(12)")).all_passed
-    assert builds == {"primary": 1, "classify": 1}
+    assert builds == {"primary": 1, "classify": 1, "w_ring": 1, "sober": 1, "base": 1}
+
+
+def test_failed_base_reads_alike_in_check_and_suite(capsys, monkeypatch):
+    def without_basics(a):
+        a.prim.basic_open_family = [0]
+        return a
+
+    monkeypatch.setattr(cli, "analyze_ring", lambda *args: without_basics(analyze_ring(*args)))
+    witness = "open [0] is not a union of basics"
+    code, out, err = run(capsys, "check", "base", "Zn(6)")
+    assert (code, out, err) == (1, f"base: false  ({witness})\n", "")
+    entry = verify_theorems(without_basics(analyze_ring("Zn(6)"))).entry("basic-opens-form-base")
+    assert (entry.passed, entry.witness) == (False, witness)
 
 
 GLOBAL_FLAG_CASES = [
@@ -785,3 +874,17 @@ def test_fuzzed_spec_ends_fast_with_a_documented_code(spec):
         code = exc.code
     assert time.perf_counter() - started < 2.0
     assert code in (0, 2, 3)
+
+
+@given(_SPECS)
+@example("Zn(²)")  # isdigit() but not int(): once a bare ValueError from int()
+@example("Quot(Zn(2), ²x+1)")
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_fuzzed_spec_under_a_raised_cap_parses_or_is_rejected_fast(spec):
+    # parsed and size-checked only: a ring the raised cap admits is never built
+    started = time.perf_counter()
+    try:
+        rings._checked_size(parse_ring_spec(spec, 2**200), 2**200)
+    except (RingSpecError, CapExceededError):
+        pass
+    assert time.perf_counter() - started < 2.0

@@ -110,9 +110,9 @@ def test_closure_examples():
 def test_is_base():
     for text in ("Zn(8)", "Zn(6)"):
         _, _, prim = _setup(text)
-        assert prim.is_base() == (True, None)
+        assert prim.is_base == (True, None)
     _, lat30, _ = _setup("Zn(30)")
-    assert Spectrum(lat30, "prime").is_base() == (True, None)
+    assert Spectrum(lat30, "prime").is_base == (True, None)
 
 
 @pytest.mark.parametrize("text", LAW_RINGS)

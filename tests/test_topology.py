@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from oracles import is_irreducible_by_relative_scan, least_superset
+from oracles import is_irreducible_by_relative_scan, is_spectral, least_superset
 
 from primspec.classify import analyze_ring
 from primspec.ideals import canonical_key, iter_bits, mask_of
@@ -16,10 +16,6 @@ from primspec.topology import (
     irreducible_closed_with_generic_points,
     is_irreducible,
     is_quasi_compact,
-    is_sober,
-    is_spectral,
-    is_supercompact,
-    separation_axioms,
     uncovered_open,
 )
 
@@ -161,12 +157,12 @@ def test_closure_matches_the_least_superset_scan(corpus_analyses):
 
 
 def test_separation_examples():
-    sep = separation_axioms(SIERPINSKI)
+    sep = SIERPINSKI.separation
     assert (sep.t0, sep.t1, sep.t2) == (True, False, False)
     assert sep.witness is not None
-    sep = separation_axioms(INDISCRETE3)
+    sep = INDISCRETE3.separation
     assert (sep.t0, sep.t1, sep.t2) == (False, False, False)
-    sep = separation_axioms(DISCRETE2)
+    sep = DISCRETE2.separation
     assert (sep.t0, sep.t1, sep.t2) == (True, True, True)
     assert sep.witness is None
 
@@ -208,35 +204,28 @@ def test_irreducible_matches_the_relative_scan(corpus_analyses):
 def test_generic_points_examples():
     got = irreducible_closed_with_generic_points(INDISCRETE3)
     assert got == [(0b111, 0b111)]
-    assert not is_sober(INDISCRETE3)
+    assert not INDISCRETE3.sober
     got = irreducible_closed_with_generic_points(DISCRETE2)
     assert got == [(0b01, 0b01), (0b10, 0b10)]
-    assert is_sober(DISCRETE2)
+    assert DISCRETE2.sober
     got = irreducible_closed_with_generic_points(SIERPINSKI)
     assert got == [(0b01, 0b01), (0b11, 0b10)]
-    assert is_sober(SIERPINSKI)
+    assert SIERPINSKI.sober
 
 
 def test_sober_and_spectral():
-    assert is_sober(POINT) and is_spectral(POINT, POINT.opens)
+    assert POINT.sober and is_spectral(POINT, POINT.opens)
     assert not is_spectral(INDISCRETE3, INDISCRETE3.opens)
     assert is_spectral(DISCRETE2, DISCRETE2.opens)
-
-
-def test_spectral_base_must_be_closed_under_intersection():
     # {0} and {1} generate every open of DISCRETE2 but miss their meet
     assert not is_spectral(DISCRETE2, [0b01, 0b10, 0b11])
     assert is_spectral(DISCRETE2, [0, 0b01, 0b10, 0b11])
-    rng = random.Random(5)
-    for topo in RANDOM_TOPOLOGIES + [SIERPINSKI, DISCRETE2, POINT]:
-        for _ in range(30):
-            family = [u for u in topo.opens if rng.random() < 0.7]
-            expected = (
-                is_sober(topo)
-                and all(a & b in family for a in family for b in family)
-                and uncovered_open(topo, family) is None
-            )
-            assert is_spectral(topo, family) == expected, (topo.closed_sets, family)
+
+
+def test_spectral_matches_the_definitional_oracle(corpus_analyses):
+    for text, a in corpus_analyses.items():
+        for space in (a.prim, a.primes):
+            assert space.spectral == is_spectral(space, space.basic_open_family), text
 
 
 def test_base_check_failure_names_the_missed_open(monkeypatch):
@@ -246,7 +235,8 @@ def test_base_check_failure_names_the_missed_open(monkeypatch):
     assert is_spectral(SIERPINSKI, SIERPINSKI.opens) and not is_spectral(SIERPINSKI, [0])
     prim = analyze_ring("Zn(6)").prim
     monkeypatch.setattr(prim, "basic_open_family", [0])
-    assert prim.is_base() == (False, 0b01)
+    assert prim.is_base == (False, "open [0] is not a union of basics")
+    assert prim.sober and not prim.spectral
 
 
 def test_quasi_compact_greedy():
@@ -261,28 +251,28 @@ def test_quasi_compact_greedy():
 
 
 def test_supercompact_examples():
-    verdict, witness = is_supercompact(INDISCRETE3)
+    verdict, witness = INDISCRETE3.supercompact
     assert verdict is True
-    verdict, witness = is_supercompact(DISCRETE2)
+    verdict, witness = DISCRETE2.supercompact
     assert verdict is False
     assert sorted(list(iter_bits(u)) for u in witness) == [[0], [1]]
-    assert is_supercompact(POINT)[0] is True
+    assert POINT.supercompact[0] is True
 
 
 def test_supercompact_oracle_equivalence_random():
     for topo in RANDOM_TOPOLOGIES + [SIERPINSKI, DISCRETE2, INDISCRETE3, POINT]:
         if len(topo.opens) <= 12:
-            assert is_supercompact(topo)[0] == _supercompact_by_cover_enumeration(topo)
+            assert topo.supercompact[0] == _supercompact_by_cover_enumeration(topo)
 
 
 def test_implication_chain():
     for topo in RANDOM_TOPOLOGIES + [SIERPINSKI, DISCRETE2, INDISCRETE3, POINT]:
-        sep = separation_axioms(topo)
+        sep = topo.separation
         if sep.t2:
             assert sep.t1
         if sep.t1:
             assert sep.t0
-        if is_sober(topo):
+        if topo.sober:
             assert sep.t0
 
 
@@ -292,39 +282,39 @@ SPEC_TOPOLOGIES = ["Zn(8)", "Zn(6)", "Zn(12)", "Zn(30)", "Quot(Zn(4), x^2+x+1)"]
 @pytest.mark.parametrize("text", SPEC_TOPOLOGIES)
 def test_spectrum_topologies(text):
     topo = analyze_ring(text).prim
-    sep = separation_axioms(topo)
+    sep = topo.separation
     if sep.t2:
         assert sep.t1
     if sep.t1:
         assert sep.t0
-    if is_sober(topo):
+    if topo.sober:
         assert sep.t0
     assert is_irreducible(topo)[0] == irreducible_open_characterization(topo)
     if len(topo.opens) <= 12:
-        assert is_supercompact(topo)[0] == _supercompact_by_cover_enumeration(topo)
+        assert topo.supercompact[0] == _supercompact_by_cover_enumeration(topo)
 
 
 def test_prim_z8_topology_profile():
     prim = analyze_ring("Zn(8)").prim
-    sep = separation_axioms(prim)
+    sep = prim.separation
     assert (sep.t0, sep.t1, sep.t2) == (False, False, False)
     assert is_irreducible(prim)[0]
     entries = irreducible_closed_with_generic_points(prim)
     assert len(entries) == 1 and entries[0][1].bit_count() == 3
-    assert not is_sober(prim)
-    assert not is_spectral(prim, prim.basic_open_family)
-    assert is_supercompact(prim)[0]
+    assert not prim.sober
+    assert not prim.spectral
+    assert prim.supercompact[0]
 
 
 def test_prim_z6_topology_profile():
     prim = analyze_ring("Zn(6)").prim
-    sep = separation_axioms(prim)
+    sep = prim.separation
     assert (sep.t0, sep.t1, sep.t2) == (True, True, True)
     verdict, witness = is_irreducible(prim)
     assert verdict is False and witness is not None
-    assert is_sober(prim)
-    assert is_spectral(prim, prim.basic_open_family)
-    verdict, family = is_supercompact(prim)
+    assert prim.sober
+    assert prim.spectral
+    verdict, family = prim.supercompact
     assert verdict is False and len(family) == 2
 
 
