@@ -12,6 +12,10 @@ columns are merged into a JSON table:
     python scripts/bench_scale.py --out BENCH.json \
         --src ../parent/src --column parent --src src --column change
 
+The table also records ``startup_ms``: per tree, the median of 11 fresh
+interpreters that only ``import primspec.cli``, taken after the exports
+in the same interleaved order.
+
 Bytecode writes stay on, and one small export per tree runs first, so no
 timed run pays for compiling the package.
 """
@@ -22,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -44,12 +49,15 @@ SCALE_CORPUS = [
 ]
 
 _EXPORT = "import sys; from primspec.cli import main; sys.exit(main(sys.argv[1:]))"
+_IMPORT = "import primspec.cli"
+STARTUP_SAMPLES = 11
 
 
-def _export_seconds(spec: str, env: dict[str, str]) -> float:
+def _run_seconds(args: list[str], env: dict[str, str]) -> float:
+    """Wall seconds of one fresh interpreter running ``args``."""
     start = time.perf_counter()
     subprocess.run(
-        [sys.executable, "-c", _EXPORT, "export", spec, "--seed", "0"],
+        [sys.executable, *args],
         env=env,
         check=True,
         stdin=subprocess.DEVNULL,
@@ -58,7 +66,7 @@ def _export_seconds(spec: str, env: dict[str, str]) -> float:
     return time.perf_counter() - start
 
 
-def run_order(specs: list[str], columns: list[str]) -> list[tuple[str, str]]:
+def run_order(specs: list, columns: list[str]) -> list[tuple]:
     """(spec, column) pairs, ring by ring; the columns run in the given
     order on even-numbered rings and reversed on odd-numbered ones."""
     return [
@@ -68,21 +76,39 @@ def run_order(specs: list[str], columns: list[str]) -> list[tuple[str, str]]:
     ]
 
 
-def time_exports(specs: list[str], trees: dict[str, Path]) -> dict[str, dict[str, float]]:
-    """Wall seconds of one ``export SPEC --seed 0`` per spec and column, each
-    in a fresh interpreter that imports ``primspec`` from the column's tree,
-    in ``run_order``."""
+def _warm_envs(trees: dict[str, Path]) -> dict[str, dict[str, str]]:
+    """Per column, an environment that imports ``primspec`` from the
+    column's tree, after one small export that writes its bytecode."""
     base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     envs = {
         column: {**base, "PYTHONPATH": str(Path(src).resolve())}
         for column, src in trees.items()
     }
     for env in envs.values():
-        _export_seconds("Zn(2)", env)
+        _run_seconds(["-c", _EXPORT, "export", "Zn(2)"], env)
+    return envs
+
+
+def time_exports(specs: list[str], trees: dict[str, Path]) -> dict[str, dict[str, float]]:
+    """Wall seconds of one ``export SPEC --seed 0`` per spec and column, each
+    in a fresh interpreter that imports ``primspec`` from the column's tree,
+    in ``run_order``."""
+    envs = _warm_envs(trees)
     times: dict[str, dict[str, float]] = {column: {} for column in trees}
     for spec, column in run_order(specs, list(trees)):
-        times[column][spec] = round(_export_seconds(spec, envs[column]), 2)
+        args = ["-c", _EXPORT, "export", spec, "--seed", "0"]
+        times[column][spec] = round(_run_seconds(args, envs[column]), 2)
     return times
+
+
+def time_startup(trees: dict[str, Path], samples: int = STARTUP_SAMPLES) -> dict[str, float]:
+    """Median milliseconds per column of ``samples`` fresh interpreters that
+    import ``primspec.cli`` from the column's tree, in ``run_order``."""
+    envs = _warm_envs(trees)
+    times: dict[str, list[float]] = {column: [] for column in trees}
+    for _, column in run_order(range(samples), list(trees)):
+        times[column].append(_run_seconds(["-c", _IMPORT], envs[column]))
+    return {column: round(statistics.median(t) * 1000, 1) for column, t in times.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -104,10 +130,13 @@ def main(argv: list[str] | None = None) -> int:
     table["python"] = platform.python_version()
     table["nproc"] = len(os.sched_getaffinity(0))
     table["rings"] = SCALE_CORPUS
-    columns = time_exports(SCALE_CORPUS, dict(zip(args.column, srcs)))
+    trees = dict(zip(args.column, srcs))
+    columns = time_exports(SCALE_CORPUS, trees)
+    startup = time_startup(trees)
     table.setdefault("wall_s", {}).update(columns)
+    table.setdefault("startup_ms", {}).update(startup)
     args.out.write_text(json.dumps(table, indent=2) + "\n")
-    print(json.dumps(columns, indent=2))
+    print(json.dumps({"wall_s": columns, "startup_ms": startup}, indent=2))
     return 0
 
 

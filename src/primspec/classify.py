@@ -9,7 +9,6 @@ each biconditional with both sides computed independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -29,20 +28,22 @@ from .rings import (
     parse_ring_spec,
     unit_and_nilpotent_flags,
 )
+from .records import record
 from .spectra import Spectrum
 from .topology import is_irreducible
 
 
-@dataclass
-class RingClassification:
-    is_field: bool
-    is_local: bool
-    is_zero_dimensional: bool
-    is_p_ring: bool
-    krull_dimension: int
-    maximal_ideals: list[int]
-    prime_ideals: list[int]
-    primary_ideals: list[int]
+class RingClassification(
+    record(
+        "RingClassification",
+        "is_field is_local is_zero_dimensional is_p_ring krull_dimension"
+        " maximal_ideals prime_ideals primary_ideals",
+    )
+):
+    """Ring-level flags, the Krull dimension, and the maximal, prime and
+    primary ideal ids as lists."""
+
+    __slots__ = ()
 
 
 def classify_ring(lattice: IdealLattice) -> RingClassification:
@@ -155,11 +156,10 @@ def star_condition(
     return True, None
 
 
-@dataclass
-class AConditionsResult:
-    a1: bool
-    a2: bool
-    witness: str | None
+class AConditionsResult(record("AConditionsResult", "a1 a2 witness")):
+    """A1 and A2 verdicts; the witness names a failing subfamily, or is None."""
+
+    __slots__ = ()
 
 
 def _first_failing_fold(start, members, step, holds):
@@ -264,11 +264,14 @@ def closure_identity_check(spectrum: Spectrum) -> tuple[bool, str | None]:
 # Analysis bundle and the verification suite
 
 
-@dataclass
 class RingAnalysis:
-    spec: RingSpecExpr
-    ring: FiniteRing
-    lattice: IdealLattice
+    """A ring with its ideal lattice; the spectra, the classification and
+    the W-ring verdict are built on first read and kept."""
+
+    def __init__(self, spec: RingSpecExpr, ring: FiniteRing, lattice: IdealLattice):
+        self.spec = spec
+        self.ring = ring
+        self.lattice = lattice
 
     @cached_property
     def prim(self) -> Spectrum:
@@ -300,15 +303,17 @@ def analyze_ring(
     return RingAnalysis(spec, ring, enumerate_ideals(ring, max_ideals))
 
 
-@dataclass
-class TheoremEntry:
-    entry_id: str
-    claim: str
-    applicable: bool
-    lhs: bool | None
-    rhs: bool | None
-    passed: bool
-    witness: str | None = None
+class TheoremEntry(
+    record(
+        "TheoremEntry",
+        "entry_id claim applicable lhs rhs passed witness",
+        defaults=(None,),
+    )
+):
+    """One checked law: its two sides (None when not applicable), the
+    verdict and an optional witness."""
+
+    __slots__ = ()
 
 
 # entry ids and claims, in report order
@@ -392,10 +397,12 @@ THEOREM_CLAIMS: dict[str, str] = {
 }
 
 
-@dataclass
 class TheoremReport:
-    ring_label: str
-    entries: list[TheoremEntry] = field(default_factory=list)
+    """The entries of ``verify_theorems`` for one ring, in report order."""
+
+    def __init__(self, ring_label: str, entries: list[TheoremEntry] | None = None):
+        self.ring_label = ring_label
+        self.entries = [] if entries is None else entries
 
     @property
     def all_passed(self) -> bool:

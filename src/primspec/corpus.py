@@ -11,8 +11,8 @@ canonical rendering) are rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from .records import record
 from .rings import DEFAULT_ELEMENT_CAP, RingSpecError, parse_ring_spec
 
 DEFAULT_CORPUS: list[str] = (
@@ -30,11 +30,13 @@ DEFAULT_CORPUS: list[str] = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    spec_text: str  # canonical rendering
-    max_elements: int | None = None
-    max_ideals: int | None = None
+class CorpusEntry(
+    record("CorpusEntry", "spec_text max_elements max_ideals", defaults=(None, None))
+):
+    """One corpus ring: its canonical rendering and its own caps, None where
+    the global cap applies."""
+
+    __slots__ = ()
 
 
 def parse_corpus_lines(lines, max_elements: int = DEFAULT_ELEMENT_CAP) -> list[CorpusEntry]:

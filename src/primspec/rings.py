@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
-from dataclasses import dataclass
 from operator import itemgetter
 
+from .records import record
 from .zsymbolic import MR_EXACT_BELOW, is_probable_prime
 
 DEFAULT_ELEMENT_CAP = 1024
@@ -83,27 +83,25 @@ def prime_power(q: int) -> tuple[int, int] | None:
 # Spec expressions
 
 
-@dataclass(frozen=True)
-class ZnSpec:
-    n: int
+class ZnSpec(record("ZnSpec", "n")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"Zn({self.n})"
 
 
-@dataclass(frozen=True)
-class GFSpec:
-    p: int
-    k: int
+class GFSpec(record("GFSpec", "p k")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
 
-@dataclass(frozen=True)
-class QuotSpec:
-    base: ZnSpec | GFSpec
-    modulus: tuple[int, ...]  # little-endian base-element indices, monic
+class QuotSpec(record("QuotSpec", "base modulus")):
+    """base[x]/(modulus) for a ZnSpec or GFSpec base; the modulus is a monic
+    tuple of little-endian base-element indices."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"Quot({self.base}, {render_poly(self.modulus)})"
@@ -129,10 +127,8 @@ class QuotSpec:
         return _fp_is_irreducible(reduced, p)
 
 
-@dataclass(frozen=True)
-class ProdSpec:
-    left: RingSpecExpr
-    right: RingSpecExpr
+class ProdSpec(record("ProdSpec", "left right")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"Prod({self.left}, {self.right})"

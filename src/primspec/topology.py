@@ -11,10 +11,10 @@ immutable inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .ideals import canonical_key, iter_bits
+from .records import record
 
 
 class TopologyAxiomError(RuntimeError):
@@ -25,12 +25,10 @@ class CoverageError(ValueError):
     """A purported cover does not cover the target subset."""
 
 
-@dataclass(frozen=True)
-class SeparationResult:
-    t0: bool
-    t1: bool
-    t2: bool
-    witness: tuple[int, int] | None
+class SeparationResult(record("SeparationResult", "t0 t1 t2 witness")):
+    """T0/T1/T2 verdicts and a violating point pair (x, y), or None."""
+
+    __slots__ = ()
 
 
 class FiniteTopology:

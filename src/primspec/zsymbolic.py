@@ -10,8 +10,9 @@ returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd, isqrt
+
+from .records import record
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (psi_k, k): psi_k is the least strong pseudoprime to the first k prime
@@ -52,6 +53,12 @@ def is_probable_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """The Miller-Rabin rounds of ``is_probable_prime``, for an n > 41
+    divisible by none of the 13 bases."""
     count = next((k for psi, k in _MR_ROWS if n < psi), len(_MR_BASES))
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -102,10 +109,12 @@ def _pollard_rho(n: int) -> int:
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Sorted prime factorization of |n| for nonzero |n| < 2^64: trial
-    division by the primes below 256 until p^2 exceeds what is left, then
-    Miller-Rabin, a square test and Brent's rho on the rest.  Rho runs only
-    on a cofactor with no prime factor below 256, and its cost follows that
-    cofactor's smallest prime factor."""
+    division by the primes below 256 until p^2 exceeds what is left, which
+    is then 1 or prime.  A cofactor that outlasts the trial primes has no
+    prime factor below 256, nor has any of its divisors, so Miller-Rabin
+    runs on them without the trial divisions of ``is_probable_prime``, and
+    a square test and Brent's rho split the composites; rho's cost follows
+    the cofactor's smallest prime factor."""
     if n == 0:
         raise ValueError("zero has no prime factorization")
     n = abs(n)
@@ -114,16 +123,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
-            break
+            if n > 1:
+                factors[n] = factors.get(n, 0) + 1
+            return sorted(factors.items())
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
+        if _strong_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         root = isqrt(m)
@@ -139,21 +148,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
 # Primary ideals and varieties of Z
 
 
-@dataclass(frozen=True)
-class ZPrimaryIdeal:
+class ZPrimaryIdeal(record("ZPrimaryIdeal", "p k", defaults=(0,))):
     """The zero ideal (p=None) or the prime-power ideal (p^k)."""
 
-    p: int | None
-    k: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p is not None:
-            if self.p.bit_length() > 64:
+    def __new__(cls, p: int | None, k: int = 0):
+        if p is not None:
+            if p.bit_length() > 64:
                 raise ValueError("prime exceeds 64 bits")
-            if not is_probable_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-            if self.k < 1:
+            if not is_probable_prime(p):
+                raise ValueError(f"{p} is not prime")
+            if k < 1:
                 raise ValueError("exponent must be at least 1")
+        return super().__new__(cls, p, k)
 
     @property
     def is_zero(self) -> bool:
@@ -168,14 +176,13 @@ class ZPrimaryIdeal:
 ZERO_IDEAL = ZPrimaryIdeal(None)
 
 
-@dataclass(frozen=True)
-class ZVariety:
+class ZVariety(
+    record("ZVariety", "all_points families includes_zero", defaults=(False, frozenset(), False))
+):
     """Either all of Prim(Z), or a finite union of prime power families
     {(p^k) : k >= 1} with an optional zero ideal."""
 
-    all_points: bool = False
-    families: frozenset[int] = frozenset()
-    includes_zero: bool = False
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.all_points:
@@ -235,16 +242,12 @@ def closure_equal_z(q1: ZPrimaryIdeal, q2: ZPrimaryIdeal) -> bool:
 # Finite subcovers with Bezout certificates
 
 
-@dataclass(frozen=True)
-class SubcoverCertificate:
+class SubcoverCertificate(record("SubcoverCertificate", "r delta exponent coefficients")):
     """Witness that the basic open of r is covered by finitely many of the
     basic opens of S: r**exponent equals the integer combination
-    sum(coefficients[i] * delta[i])."""
+    sum(coefficients[i] * delta[i]); delta and coefficients are int tuples."""
 
-    r: int
-    delta: tuple[int, ...]
-    exponent: int
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     def verify(self) -> bool:
         return self.r**self.exponent == sum(
@@ -353,14 +356,13 @@ def extract_finite_subcover_z(r: int, s_values: list[int]) -> SubcoverCertificat
 # Uniform-exponent failure for Z
 
 
-@dataclass(frozen=True)
-class A2FailureWitness:
+class A2FailureWitness(
+    record("A2FailureWitness", "p radical_of_intersection intersection_of_radicals")
+):
     """The family {(p^k) : k >= 1} separates the radical of the intersection
     from the intersection of the radicals."""
 
-    p: int
-    radical_of_intersection: ZPrimaryIdeal
-    intersection_of_radicals: ZPrimaryIdeal
+    __slots__ = ()
 
     @property
     def sides_equal(self) -> bool:
@@ -390,30 +392,28 @@ def a2_failure_witness_z(p: int) -> A2FailureWitness:
 # Z x Z
 
 
-@dataclass(frozen=True)
-class ZxZPrimaryIdeal:
-    """(p^k) x Z or Z x (p^k); the zero inner ideal gives (0) x Z / Z x (0),
-    which are prime (hence primary) but absent from the usual power-family
+class ZxZPrimaryIdeal(record("ZxZPrimaryIdeal", "side inner")):
+    """(p^k) x Z or Z x (p^k) for side "left" or "right" and an inner
+    ZPrimaryIdeal; the zero inner ideal gives (0) x Z / Z x (0), which are
+    prime (hence primary) but absent from the usual power-family
     enumeration -- they are carried behind this explicit representation."""
 
-    side: str  # "left" | "right"
-    inner: ZPrimaryIdeal
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
+    def __new__(cls, side: str, inner: ZPrimaryIdeal):
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+        return super().__new__(cls, side, inner)
 
     def __str__(self) -> str:
         return f"{self.inner}×Z" if self.side == "left" else f"Z×{self.inner}"
 
 
-@dataclass(frozen=True)
-class ZxZClosure:
+class ZxZClosure(record("ZxZClosure", "side p")):
     """Closure of one point of Prim(Z x Z): the full power family of one
-    prime on one side, or (for a zero inner ideal) that whole side."""
+    prime on one side, or (p None, for a zero inner ideal) that whole side."""
 
-    side: str
-    p: int | None  # None: closure of the zero-inner point, the whole side
+    __slots__ = ()
 
     def __str__(self) -> str:
         def wrap(ideal: str) -> str:

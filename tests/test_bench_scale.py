@@ -34,3 +34,24 @@ def test_run_order_interleaves_trees_and_alternates_the_first():
         ("C", "parent"),
         ("C", "change"),
     ]
+
+
+def test_time_startup_takes_each_tree_median_in_run_order(monkeypatch):
+    bench = _bench_scale()
+    trees = {"parent": ROOT / "src", "change": ROOT / "src"}
+    calls = []
+
+    def fake_run(args, env):
+        calls.append(args)
+        return len(calls) / 1000  # the k-th interpreter takes k ms
+
+    monkeypatch.setattr(bench, "_run_seconds", fake_run)
+    medians = bench.time_startup(trees, samples=3)
+    # two warm-up exports, then parent, change | change, parent | parent, change
+    assert [args[-1] for args in calls[2:]] == ["import primspec.cli"] * 6
+    assert medians == {"parent": 6.0, "change": 5.0}  # of (3, 6, 7) and (4, 5, 8)
+
+
+def test_time_startup_imports_the_cli_in_a_fresh_interpreter():
+    ms = _bench_scale().time_startup({"only": ROOT / "src"}, samples=1)
+    assert list(ms) == ["only"] and 0 < ms["only"] < 30_000

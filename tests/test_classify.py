@@ -2,7 +2,6 @@
 and the verification suite."""
 
 import copy
-import dataclasses
 import functools
 import itertools
 import random
@@ -12,6 +11,7 @@ import pytest
 
 from primspec import classify
 from primspec.classify import (
+    RingAnalysis,
     _first_failing_fold,
     a_conditions,
     analyze_ring,
@@ -487,7 +487,7 @@ def test_basic_open_product_names_the_last_failing_pair():
         if x[ring.mul[r][s]] != x[r] & x[s]
     ]
     assert failing == [(2, 5)]
-    entry = verify_theorems(dataclasses.replace(a, ring=ring)).entry("basic-open-product")
+    entry = verify_theorems(RingAnalysis(a.spec, ring, a.lattice)).entry("basic-open-product")
     assert not entry.passed
     assert entry.witness == classify._pair_witness(
         ring.element_names, lambda r, s: x[ring.mul[r][s]] != x[r] & x[s]
@@ -515,7 +515,7 @@ def test_mode_fold_names_a_smallest_failing_family():
     lat.radical_ids[lat.zero_id] = lat.zero_id  # true radical of (0) is (6)
     smallest = _smallest_mode_failures(lat)
     assert "{(4), (3)}" in smallest
-    entry = verify_theorems(dataclasses.replace(a, lattice=lat)).entry(
+    entry = verify_theorems(RingAnalysis(a.spec, a.ring, lat)).entry(
         "uniform-exponent-mode-agreement"
     )
     assert not entry.passed
@@ -740,7 +740,7 @@ def test_uniform_exponent_family_verdict_is_the_and_of_its_members(corpus_suite)
     lat = copy.copy(a.lattice)
     lat.radical_ids = list(lat.radical_ids)
     lat.radical_ids[lat.zero_id] = lat.zero_id
-    a = dataclasses.replace(a, lattice=lat)
+    a = RingAnalysis(a.spec, a.ring, lat)
     assert all(a2_by_mode(lat, [i], "A2_original").a2 for i in range(len(lat)))
     assert not _uniform_exponent_holds(a, verify_theorems(a))
 
@@ -777,7 +777,7 @@ def _copy_with(obj, **attrs):
 
 
 def _with_classification(**flags):
-    return lambda a: _copy_with(a, classification=dataclasses.replace(a.classification, **flags))
+    return lambda a: _copy_with(a, classification=a.classification._replace(**flags))
 
 
 def _with_prim(**attrs):

@@ -2,7 +2,6 @@
 
 import collections
 import copy
-import dataclasses
 import json
 import os
 import re
@@ -16,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primspec import classify, cli, rings, spectra, topology
-from primspec.classify import analyze_ring, verify_theorems
+from primspec.classify import RingAnalysis, analyze_ring, verify_theorems
 from primspec.cli import main
 from primspec.corpus import DEFAULT_CORPUS, default_corpus, load_corpus, parse_corpus_lines
 from primspec.rings import CapExceededError, RingSpecError, ZnSpec, parse_ring_spec
@@ -90,7 +89,7 @@ def _radical_of_zero_read_as_zero(a):
     lat = copy.copy(a.lattice)
     lat.radical_ids = list(lat.radical_ids)
     lat.radical_ids[lat.zero_id] = lat.zero_id
-    return dataclasses.replace(a, lattice=lat)
+    return RingAnalysis(a.spec, a.ring, lat)
 
 
 def _unit_read_as_nilpotent(a):
