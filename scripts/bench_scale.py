@@ -89,24 +89,23 @@ def _warm_envs(trees: dict[str, Path]) -> dict[str, dict[str, str]]:
     return envs
 
 
-def time_exports(specs: list[str], trees: dict[str, Path]) -> dict[str, dict[str, float]]:
+def time_exports(specs: list[str], envs: dict[str, dict[str, str]]) -> dict[str, dict[str, float]]:
     """Wall seconds of one ``export SPEC --seed 0`` per spec and column, each
-    in a fresh interpreter that imports ``primspec`` from the column's tree,
+    in a fresh interpreter with the column's environment from ``_warm_envs``,
     in ``run_order``."""
-    envs = _warm_envs(trees)
-    times: dict[str, dict[str, float]] = {column: {} for column in trees}
-    for spec, column in run_order(specs, list(trees)):
+    times: dict[str, dict[str, float]] = {column: {} for column in envs}
+    for spec, column in run_order(specs, list(envs)):
         args = ["-c", _EXPORT, "export", spec, "--seed", "0"]
         times[column][spec] = round(_run_seconds(args, envs[column]), 2)
     return times
 
 
-def time_startup(trees: dict[str, Path], samples: int = STARTUP_SAMPLES) -> dict[str, float]:
-    """Median milliseconds per column of ``samples`` fresh interpreters that
-    import ``primspec.cli`` from the column's tree, in ``run_order``."""
-    envs = _warm_envs(trees)
-    times: dict[str, list[float]] = {column: [] for column in trees}
-    for _, column in run_order(range(samples), list(trees)):
+def time_startup(envs: dict[str, dict[str, str]]) -> dict[str, float]:
+    """Median milliseconds per column of ``STARTUP_SAMPLES`` fresh
+    interpreters that import ``primspec.cli`` with the column's environment
+    from ``_warm_envs``, in ``run_order``."""
+    times: dict[str, list[float]] = {column: [] for column in envs}
+    for _, column in run_order(range(STARTUP_SAMPLES), list(envs)):
         times[column].append(_run_seconds(["-c", _IMPORT], envs[column]))
     return {column: round(statistics.median(t) * 1000, 1) for column, t in times.items()}
 
@@ -130,9 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     table["python"] = platform.python_version()
     table["nproc"] = len(os.sched_getaffinity(0))
     table["rings"] = SCALE_CORPUS
-    trees = dict(zip(args.column, srcs))
-    columns = time_exports(SCALE_CORPUS, trees)
-    startup = time_startup(trees)
+    envs = _warm_envs(dict(zip(args.column, srcs)))
+    columns = time_exports(SCALE_CORPUS, envs)
+    startup = time_startup(envs)
     table.setdefault("wall_s", {}).update(columns)
     table.setdefault("startup_ms", {}).update(startup)
     args.out.write_text(json.dumps(table, indent=2) + "\n")

@@ -47,18 +47,11 @@ class NotACoverError(ValueError):
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin to the fewest of the first 13 prime bases proven exact
     for n (one base below 2047, four below 3.2e9, all 13 from psi_12 on):
-    exact below 3.3e24, so for every 64-bit input."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    return _strong_probable_prime(n)
-
-
-def _strong_probable_prime(n: int) -> bool:
-    """The Miller-Rabin rounds of ``is_probable_prime``, for an n > 41
-    divisible by none of the 13 bases."""
+    exact below 3.3e24, so for every 64-bit input.  No trial division is
+    needed: every base used is below n, an even n > 2 fails the first
+    round, and a base sharing a factor with n never reaches 1 or n - 1."""
+    if n < 3:
+        return n == 2
     count = next((k for psi, k in _MR_ROWS if n < psi), len(_MR_BASES))
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -111,10 +104,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Sorted prime factorization of |n| for nonzero |n| < 2^64: trial
     division by the primes below 256 until p^2 exceeds what is left, which
     is then 1 or prime.  A cofactor that outlasts the trial primes has no
-    prime factor below 256, nor has any of its divisors, so Miller-Rabin
-    runs on them without the trial divisions of ``is_probable_prime``, and
-    a square test and Brent's rho split the composites; rho's cost follows
-    the cofactor's smallest prime factor."""
+    prime factor below 256; Miller-Rabin tests it, and a square test and
+    Brent's rho split the composites; rho's cost follows the cofactor's
+    smallest prime factor."""
     if n == 0:
         raise ValueError("zero has no prime factorization")
     n = abs(n)
@@ -132,7 +124,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if _strong_probable_prime(m):
+        if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         root = isqrt(m)
@@ -148,7 +140,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 # Primary ideals and varieties of Z
 
 
-class ZPrimaryIdeal(record("ZPrimaryIdeal", "p k", defaults=(0,))):
+class ZPrimaryIdeal(record("ZPrimaryIdeal", "p k")):
     """The zero ideal (p=None) or the prime-power ideal (p^k)."""
 
     __slots__ = ()

@@ -16,8 +16,9 @@ def _bench_scale():
 
 def test_time_exports_times_one_export_per_ring():
     # the same tree twice, as two columns
-    trees = {"first": ROOT / "src", "second": ROOT / "src"}
-    times = _bench_scale().time_exports(["Zn(12)", "Zn(6)"], trees)
+    bench = _bench_scale()
+    envs = bench._warm_envs({"first": ROOT / "src", "second": ROOT / "src"})
+    times = bench.time_exports(["Zn(12)", "Zn(6)"], envs)
     assert list(times) == ["first", "second"]
     for column in times.values():
         assert list(column) == ["Zn(12)", "Zn(6)"]
@@ -38,7 +39,6 @@ def test_run_order_interleaves_trees_and_alternates_the_first():
 
 def test_time_startup_takes_each_tree_median_in_run_order(monkeypatch):
     bench = _bench_scale()
-    trees = {"parent": ROOT / "src", "change": ROOT / "src"}
     calls = []
 
     def fake_run(args, env):
@@ -46,12 +46,15 @@ def test_time_startup_takes_each_tree_median_in_run_order(monkeypatch):
         return len(calls) / 1000  # the k-th interpreter takes k ms
 
     monkeypatch.setattr(bench, "_run_seconds", fake_run)
-    medians = bench.time_startup(trees, samples=3)
-    # two warm-up exports, then parent, change | change, parent | parent, change
-    assert [args[-1] for args in calls[2:]] == ["import primspec.cli"] * 6
-    assert medians == {"parent": 6.0, "change": 5.0}  # of (3, 6, 7) and (4, 5, 8)
+    monkeypatch.setattr(bench, "STARTUP_SAMPLES", 3)
+    medians = bench.time_startup({"parent": {}, "change": {}})
+    # parent, change | change, parent | parent, change
+    assert [args[-1] for args in calls] == ["import primspec.cli"] * 6
+    assert medians == {"parent": 4.0, "change": 3.0}  # of (1, 4, 5) and (2, 3, 6)
 
 
-def test_time_startup_imports_the_cli_in_a_fresh_interpreter():
-    ms = _bench_scale().time_startup({"only": ROOT / "src"}, samples=1)
+def test_time_startup_imports_the_cli_in_a_fresh_interpreter(monkeypatch):
+    bench = _bench_scale()
+    monkeypatch.setattr(bench, "STARTUP_SAMPLES", 1)
+    ms = bench.time_startup(bench._warm_envs({"only": ROOT / "src"}))
     assert list(ms) == ["only"] and 0 < ms["only"] < 30_000

@@ -123,14 +123,9 @@ def test_factorize_leaves_to_rho_only_factors_above_256(monkeypatch):
         assert factorize(n) == expected[n], n
 
 
-def test_factorize_matches_all_bases_below_2e5(monkeypatch):
-    # trial division leaves 1, a prime (when it stops early, as for 2, 3
-    # and 257) or a cofactor free of primes below 256, so factorize never
-    # needs the trial divisions of is_probable_prime
-    def no_trial(n):
-        raise AssertionError(f"is_probable_prime called on {n}")
-
-    monkeypatch.setattr(zsymbolic, "is_probable_prime", no_trial)
+def test_factorize_matches_all_bases_below_2e5():
+    # trial division stops early on small primes (2, 3, 257) and leaves
+    # them as the remainder
     assert [factorize(n) for n in (2, 3, 257)] == [[(2, 1)], [(3, 1)], [(257, 1)]]
     prime = [is_prime_by_all_bases(n) for n in range(200_000)]
     for n in range(1, 200_000):
@@ -144,14 +139,14 @@ def test_factorize_matches_all_bases_below_2e5(monkeypatch):
 
 
 @pytest.mark.parametrize("psi", [psi for psi, _ in zsymbolic._MR_ROWS])
-def test_strong_probable_prime_matches_all_bases_at_each_row(psi):
+def test_miller_rabin_matches_all_bases_at_each_row(psi):
     # each row's bound, its neighbours and the primes beside it, with the
-    # row's own bases and the next row's on either side of the bound
+    # row's own bases and the next row's on either side of the bound;
+    # is_probable_prime has no trial step, so the rounds alone reject the
+    # multiples of the 13 bases among them
     near = [psi - 2, psi - 1, psi, psi + 1, psi + 2, sympy.prevprime(psi), sympy.nextprime(psi)]
     for n in near:
-        if any(n % p == 0 for p in zsymbolic._MR_BASES):
-            continue
-        assert zsymbolic._strong_probable_prime(n) == is_prime_by_all_bases(n), n
+        assert is_probable_prime(n) == is_prime_by_all_bases(n), n
         if n.bit_length() <= 64:
             assert factorize(n) == _as_factorint(n), n
 
