@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 import time
 
@@ -121,11 +123,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
+    """Write ``text`` to stdout, or to ``--out`` ending in one newline.
+
+    The file is overwritten in place: opened without ``O_TRUNC``, written,
+    then cut at the written length.  Truncating to zero first makes ext4
+    (``auto_da_alloc``) start writeback at ``close`` on every rewrite of
+    the same file.  Only a regular file is cut; a device or a pipe
+    (``/dev/null``, ``/dev/stdout``) rejects ``ftruncate``.
+    """
+    if not args.out:
         print(text)
+        return
+    data = (text if text.endswith("\n") else text + "\n").encode("utf-8")
+    with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _emit(args, payload, text: str) -> None:

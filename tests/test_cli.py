@@ -161,6 +161,92 @@ def test_path_error_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_out_dev_null_exits_0_and_prints_nothing(capsys):
+    # a character device rejects ftruncate, so --out cuts only regular files
+    assert run(capsys, "info", "Zn(6)", "--out", os.devnull) == (0, "", "")
+
+
+def test_out_dev_stdout_into_a_pipe():
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    argv = ["info", "Zn(6)"]
+    command = [sys.executable, "-m", "primspec.cli"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    piped = subprocess.run([*command, *argv, "--out", "/dev/stdout"], capture_output=True, env=env)
+    plain = subprocess.run([*command, *argv], capture_output=True, env=env)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == plain.stdout
+
+
+@pytest.fixture
+def fixed_clock(monkeypatch):
+    """Make ``export``'s ``timing_ms`` read 0, so two exports match byte for byte."""
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)
+
+
+def _stdout_bytes(capsys, *argv) -> bytes:
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    return out.encode("utf-8")
+
+
+def test_out_overwrites_in_place(tmp_path, capsys, fixed_clock):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"\xff junk \x00" * 10_000)  # 100 KB, longer than the report
+    target.chmod(0o600)
+    before = target.stat()
+    assert run(capsys, "export", "Zn(6)", "--out", str(target)) == (0, "", "")
+    # print's newline is the one _write appends to a report without one
+    assert target.read_bytes() == _stdout_bytes(capsys, "export", "Zn(6)")
+    after = target.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    # a longer report over a shorter one
+    assert run(capsys, "export", "Zn(30)", "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == _stdout_bytes(capsys, "export", "Zn(30)")
+    assert target.stat().st_ino == before.st_ino
+
+
+def test_out_writes_through_a_symlink(tmp_path, capsys, fixed_clock):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"x" * 100_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run(capsys, "export", "Zn(6)", "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _stdout_bytes(capsys, "export", "Zn(6)")
+
+
+def test_out_writes_utf8(tmp_path, capsys):
+    target = tmp_path / "vrad.txt"
+    assert run(capsys, "z", "vrad", "12", "--out", str(target)) == (0, "", "")
+    text = _stdout_bytes(capsys, "z", "vrad", "12")
+    assert "∪".encode() in text and "≥".encode() in text
+    assert target.read_bytes() == text
+
+
+def test_out_never_truncates_on_open(tmp_path, capsys, monkeypatch):
+    # truncating to zero on open makes ext4 write back at close: see cli._write
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *rest, **kw):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", spy)
+    target = tmp_path / "report.json"
+    for argv in (
+        ["export", "Zn(6)"],
+        ["export", "Zn(6)", "--graph", "ideal-lattice"],
+        ["info", "Zn(6)", "--json"],
+        ["z", "vrad", "12"],
+    ):
+        assert run(capsys, *argv, "--out", str(target))[0] == 0
+    ours = [flags for path, flags in opened if path == str(target)]
+    assert len(ours) == 4
+    assert not any(flags & os.O_TRUNC for flags in ours)
+
+
 @pytest.mark.parametrize("flag", ["--max-elements", "--max-ideals"])
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
 def test_negative_cap_is_a_usage_error(capsys, flag, before):
