@@ -24,6 +24,11 @@ from primspec.cli import CHECK_PROPERTIES, main
 from primspec.corpus import DEFAULT_CORPUS
 
 TABLE = Path(__file__).with_name("output_digests.json")
+ROOT = Path(__file__).resolve().parent.parent
+
+# a corpus file, keyed by its path from the repository root so that the
+# keys are the same on every checkout, and run from its absolute path
+CORPUS_FIXTURE = "tests/verify_paper_corpus.txt"
 
 # the rings of the benchmark's two ring workloads
 POOL_SPECS = [
@@ -109,7 +114,8 @@ def command_lines() -> list[list[str]]:
     for spec in POOL_SPECS:
         for p in ("a2", "spectral"):
             lines += [["check", p, spec], ["--json", "check", p, spec]]
-    lines.append(["verify-paper"])
+    for paper in (["verify-paper"], ["verify-paper", "--corpus", CORPUS_FIXTURE]):
+        lines += [paper, ["--json", *paper]]
     for z in Z_LINES:
         lines += [["z", *z], ["--json", "z", *z]]
     return lines
@@ -118,7 +124,7 @@ def command_lines() -> list[list[str]]:
 def digest(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main([str(ROOT / arg) if arg == CORPUS_FIXTURE else arg for arg in argv])
     stdout = re.sub(r'"timing_ms": [-0-9.e+]+', '"timing_ms": 0', out.getvalue())
     blob = json.dumps([code, stdout, err.getvalue()])
     return hashlib.sha256(blob.encode()).hexdigest()
