@@ -21,7 +21,6 @@ from .ideals import (
 )
 from .rings import (
     DEFAULT_ELEMENT_CAP,
-    CapExceededError,
     FiniteRing,
     RingSpecExpr,
     build_ring,
@@ -445,30 +444,8 @@ def _iff(report, entry_id, lhs, rhs=True, witness=None, applicable=True):
     )
 
 
-def verify_theorems(
-    target: RingAnalysis | RingSpecExpr | str,
-    max_elements: int = DEFAULT_ELEMENT_CAP,
-    max_ideals: int = DEFAULT_IDEAL_CAP,
-) -> TheoremReport:
-    """Evaluate every checked law for one ring; THEOREM_CLAIMS lists them.
-
-    A cap overflow while building the ring or its lattice yields a report
-    with every entry marked skipped instead of raising.
-    """
-    if isinstance(target, RingAnalysis):
-        a = target
-    else:
-        try:
-            a = analyze_ring(target, max_elements, max_ideals)
-        except CapExceededError as exc:
-            report = TheoremReport(str(target))
-            for entry_id, claim in THEOREM_CLAIMS.items():
-                report.entries.append(
-                    TheoremEntry(
-                        entry_id, claim, False, None, None, True, f"skipped: {exc}"
-                    )
-                )
-            return report
+def verify_theorems(a: RingAnalysis) -> TheoremReport:
+    """Evaluate every checked law for one ring; THEOREM_CLAIMS lists them."""
     ring, lattice, prim = a.ring, a.lattice, a.prim
     cls = a.classification
     w_ring, w_witness = a.w_ring

@@ -4,7 +4,7 @@ A corpus file holds one ring spec per line; ``#`` starts a comment.  A line
 may end with ``max_elements=N`` / ``max_ideals=N`` tokens, N of 1 to 18
 decimal digits, to override the caps for that ring.  A line is parsed under
 the larger of the global element cap and its own, so a lowered cap reaches
-the theorem suite, which reports the ring as skipped.  Duplicate specs (by
+``verify-paper``, which reports the ring as skipped.  Duplicate specs (by
 canonical rendering) are rejected.
 """
 
@@ -31,10 +31,10 @@ DEFAULT_CORPUS: list[str] = (
 
 
 class CorpusEntry(
-    record("CorpusEntry", "spec_text max_elements max_ideals", defaults=(None, None))
+    record("CorpusEntry", "spec max_elements max_ideals", defaults=(None, None))
 ):
-    """One corpus ring: its canonical rendering and its own caps, None where
-    the global cap applies."""
+    """One corpus ring: its parsed spec and its own caps, None where the
+    global cap applies."""
 
     __slots__ = ()
 
@@ -65,7 +65,7 @@ def parse_corpus_lines(lines, max_elements: int = DEFAULT_ELEMENT_CAP) -> list[C
         if canonical in seen:
             raise RingSpecError(f"line {lineno}: duplicate spec {canonical}")
         seen.add(canonical)
-        entries.append(CorpusEntry(canonical, caps.get("max_elements"), caps.get("max_ideals")))
+        entries.append(CorpusEntry(expr, caps.get("max_elements"), caps.get("max_ideals")))
     return entries
 
 
@@ -75,4 +75,4 @@ def load_corpus(path: str, max_elements: int = DEFAULT_ELEMENT_CAP) -> list[Corp
 
 
 def default_corpus() -> list[CorpusEntry]:
-    return [CorpusEntry(text) for text in DEFAULT_CORPUS]
+    return parse_corpus_lines(DEFAULT_CORPUS)

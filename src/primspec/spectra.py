@@ -91,7 +91,7 @@ class Spectrum(FiniteTopology):
         The empty set yields the unit ideal (empty-intersection convention).
         """
         mask = (1 << self.lattice.ring.size) - 1
-        for pos in iter_bits(point_set):
+        for pos in iter_bits(self._checked(point_set)):
             mask &= self.lattice.mask(self.points[pos])
         return self.lattice.id_of(mask)
 
@@ -99,5 +99,5 @@ class Spectrum(FiniteTopology):
         return self.lattice.render(self.points[pos])
 
     def render_point_set(self, point_set: int) -> str:
-        inner = ", ".join(self.render_point(p) for p in iter_bits(point_set))
+        inner = ", ".join(self.render_point(p) for p in iter_bits(self._checked(point_set)))
         return "{" + inner + "}"

@@ -75,14 +75,20 @@ class FiniteTopology:
     def is_closed(self, subset: int) -> bool:
         return subset in self._closed_set_set
 
-    def closure(self, subset: int) -> int:
-        """Smallest closed superset: the union of its points' closures, which
-        is closed since the family is closed under finite unions."""
+    def _checked(self, subset: int) -> int:
+        """``subset`` itself; ValueError naming its lowest stray bits if it
+        holds a bit past the last point (a negative int holds infinitely
+        many)."""
         if subset & ~self.full:
             stray = list(itertools.islice(iter_bits(subset & ~self.full), 5))
             raise ValueError(f"set has bits outside the space, lowest {stray}")
+        return subset
+
+    def closure(self, subset: int) -> int:
+        """Smallest closed superset: the union of its points' closures, which
+        is closed since the family is closed under finite unions."""
         out = 0
-        for x in iter_bits(subset):
+        for x in iter_bits(self._checked(subset)):
             out |= self.point_closures[x]
         return out
 

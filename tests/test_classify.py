@@ -582,7 +582,7 @@ def test_gf2_10_folds_cost_their_states(monkeypatch):
 
 
 def test_verify_theorems_z8():
-    report = verify_theorems("Zn(8)")
+    report = verify_theorems(analyze_ring("Zn(8)"))
     assert report.all_passed
     assert report.entry("irreducible-iff-nilradical-primary").lhs is True
     assert report.entry("irreducible-iff-nilradical-primary").rhs is True
@@ -592,7 +592,7 @@ def test_verify_theorems_z8():
 
 
 def test_verify_theorems_z6():
-    report = verify_theorems("Zn(6)")
+    report = verify_theorems(analyze_ring("Zn(6)"))
     assert report.all_passed
     assert report.entry("p-ring-iff-t0").lhs is True
     assert report.entry("irreducible-iff-nilradical-primary").lhs is False
@@ -610,7 +610,7 @@ def test_verify_theorems_chain_ring():
 
 
 def test_verify_theorems_not_applicable_for_non_w_ring():
-    report = verify_theorems("Quot(Zn(4), x^2)")
+    report = verify_theorems(analyze_ring("Quot(Zn(4), x^2)"))
     assert report.all_passed
     entry = report.entry("t0-iff-sober")
     assert not entry.applicable
@@ -618,18 +618,9 @@ def test_verify_theorems_not_applicable_for_non_w_ring():
     assert report.entry("spectral-iff-t0").applicable is False
 
 
-def test_verify_theorems_skipped_on_cap():
-    report = verify_theorems("Zn(30)", max_ideals=3)
-    assert report.all_passed
-    assert all(not e.applicable for e in report.entries)
-    assert all(e.witness and e.witness.startswith("skipped") for e in report.entries)
-    report = verify_theorems("Zn(2000)")
-    assert all(not e.applicable for e in report.entries)
-
-
 def test_verify_theorems_deterministic():
-    r1 = verify_theorems("Zn(30)")
-    r2 = verify_theorems("Zn(30)")
+    r1 = verify_theorems(analyze_ring("Zn(30)"))
+    r2 = verify_theorems(analyze_ring("Zn(30)"))
     assert [(e.entry_id, e.lhs, e.rhs, e.passed, e.witness) for e in r1.entries] == [
         (e.entry_id, e.lhs, e.rhs, e.passed, e.witness) for e in r2.entries
     ]
@@ -638,7 +629,7 @@ def test_verify_theorems_deterministic():
 def test_report_entry_shape():
     from primspec.classify import THEOREM_CLAIMS
 
-    report = verify_theorems("Zn(12)")
+    report = verify_theorems(analyze_ring("Zn(12)"))
     ids = [e.entry_id for e in report.entries]
     assert ids == list(THEOREM_CLAIMS)
     for e in report.entries:
@@ -784,9 +775,22 @@ def _with_prim(**attrs):
     return lambda a: _copy_with(a, prim=_copy_with(a.prim, **attrs))
 
 
+# no two points of the space are told apart, closures untouched
+_NOT_SEPARATED = _with_prim(separation=SeparationResult(False, False, False, (0, 1)))
+
+
+def _second_point_variety_as_first(a):
+    varieties = list(a.prim.varieties)
+    first, second = a.prim.points[:2]
+    varieties[second] = varieties[first]
+    return _with_prim(varieties=varieties)(a)
+
+
 # entry, ring, mutation of one side's input, (lhs, rhs) it must produce;
 # each ring passes the entry with both sides true
 SIDE_MUTANTS = [
+    ("p-ring-iff-t0", "Zn(6)", _with_classification(is_p_ring=False), (False, True)),
+    ("p-ring-iff-t0", "Zn(6)", _NOT_SEPARATED, (True, False)),
     ("p-ring-iff-t2", "Zn(6)", _with_classification(is_p_ring=False), (False, True)),
     # no two disjoint opens separate the two points, closures untouched
     ("p-ring-iff-t2", "Zn(6)", _with_prim(opens=[0, 0b11]), (True, False)),
@@ -795,19 +799,11 @@ SIDE_MUTANTS = [
     ("local-iff-supercompact", "Zn(8)", _with_prim(opens=[0, 0b001, 0b110, 0b111]), (True, False)),
     # without the empty open, {(3)} and {(2)} meet outside the family
     ("spectral-iff-t0", "Zn(6)", _with_prim(basic_open_family=[0b01, 0b10, 0b11]), (False, True)),
-    (
-        "spectral-iff-t0",
-        "Zn(6)",
-        _with_prim(separation=SeparationResult(False, False, False, (0, 1))),
-        (True, False),
-    ),
-    (
-        "t0-iff-sober",
-        "Zn(6)",
-        _with_prim(separation=SeparationResult(False, False, False, (0, 1))),
-        (False, True),
-    ),
+    ("spectral-iff-t0", "Zn(6)", _NOT_SEPARATED, (True, False)),
+    ("t0-iff-sober", "Zn(6)", _NOT_SEPARATED, (False, True)),
     ("t0-iff-sober", "Zn(6)", _with_prim(sober=False), (True, False)),
+    ("t0-iff-variety-injective", "Zn(6)", _NOT_SEPARATED, (False, True)),
+    ("t0-iff-variety-injective", "Zn(6)", _second_point_variety_as_first, (True, False)),
 ]
 
 

@@ -873,7 +873,7 @@ def test_corpus_caps_tokens(tmp_path):
     corpus = tmp_path / "rings.txt"
     corpus.write_text("Zn(12) max_elements=64 max_ideals=32\n")
     entries = load_corpus(str(corpus))
-    assert entries[0].spec_text == "Zn(12)"
+    assert entries[0].spec == ZnSpec(12)
     assert entries[0].max_elements == 64
     assert entries[0].max_ideals == 32
     with pytest.raises(RingSpecError):
@@ -883,7 +883,7 @@ def test_corpus_caps_tokens(tmp_path):
 def test_default_corpus_well_formed():
     entries = default_corpus()
     assert len(entries) >= 25
-    assert len({e.spec_text for e in entries}) == len(entries)
+    assert len({e.spec for e in entries}) == len(entries)
     for text in DEFAULT_CORPUS:
         assert str(parse_ring_spec(text)) == text
 

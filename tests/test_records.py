@@ -159,3 +159,6 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     ).stdout.split()
     assert "primspec.cli" in out
     assert {"dataclasses", "inspect", "typing"} & set(out) == set()
+    # the package stays pure standard library
+    allowed = {"primspec", *sys.stdlib_module_names}
+    assert [m for m in out if m.split(".")[0] not in allowed] == []

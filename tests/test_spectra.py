@@ -90,6 +90,14 @@ def test_xi_examples():
     assert prim.xi(0) == lat.unit_id
     ring6, lat6, prim6 = _setup("Zn(6)")
     assert prim6.xi(0b11) == lat6.zero_id
+    # a set past the last point, or a negative int, names its stray bits
+    # (Zn(12) has three points), as closure does
+    _, _, prim12 = _setup("Zn(12)")
+    for reject in (prim12.xi, prim12.render_point_set):
+        with pytest.raises(ValueError, match=r"lowest \[40\]"):
+            reject(1 << 40)
+        with pytest.raises(ValueError, match=r"lowest \[3, 4, 5, 6, 7\]"):
+            reject(-1)
 
 
 def test_closure_examples():
@@ -105,6 +113,8 @@ def test_closure_examples():
         prim12.closure(1 << 99)
     with pytest.raises(ValueError, match=r"lowest \[3, 40\]"):
         prim12.closure(0b11 | 1 << 3 | 1 << 40)
+    with pytest.raises(ValueError, match=r"lowest \[3, 4, 5, 6, 7\]"):
+        prim12.closure(-1)
 
 
 def test_is_base():
