@@ -399,9 +399,9 @@ THEOREM_CLAIMS: dict[str, str] = {
 class TheoremReport:
     """The entries of ``verify_theorems`` for one ring, in report order."""
 
-    def __init__(self, ring_label: str, entries: list[TheoremEntry] | None = None):
+    def __init__(self, ring_label: str):
         self.ring_label = ring_label
-        self.entries = [] if entries is None else entries
+        self.entries: list[TheoremEntry] = []
 
     @property
     def all_passed(self) -> bool:
