@@ -100,6 +100,12 @@ Z_LINES = [
     ["a2-witness", "4294967291"],
     ["zxz-closure", "right", "3474749660383"],
     ["subcover", "3215031751", "151", "751", "28351"],
+    # exponents 2, 10 and 64 (gcd 3 * 2^64), a 65-bit r, and a non-cover
+    ["subcover", "12", "8"],
+    ["subcover", "-2", "1024"],
+    ["subcover", "6", "55340232221128654848", "166020696663385964544"],
+    ["subcover", "18446744073709551616", "2"],
+    ["subcover", "6", "35", "70"],
 ]
 
 
