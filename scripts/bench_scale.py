@@ -14,7 +14,11 @@ columns are merged into a JSON table:
 
 The table also records ``startup_ms``: per tree, the median of 11 fresh
 interpreters that only ``import primspec.cli``, taken after the exports
-in the same interleaved order.
+in the same interleaved order.  And it records ``subcover_us``: per tree,
+the median in-process microseconds of one fixed seeded batch of 900
+covering ``extract_finite_subcover_z`` certificates, each for an ``r``
+and nine ``s`` values below 10^9, timed in one fresh interpreter per tree,
+last and in the same order.
 
 Bytecode writes stay on, and one small export per tree runs first, so no
 timed run pays for compiling the package.
@@ -51,6 +55,27 @@ SCALE_CORPUS = [
 _EXPORT = "import sys; from primspec.cli import main; sys.exit(main(sys.argv[1:]))"
 _IMPORT = "import primspec.cli"
 STARTUP_SAMPLES = 11
+# 900 covers drawn from seed 0 (nine random values below 10^9 have a gcd
+# g below 2^30, so every prime of g divides r exactly when g | r^30), then
+# the median microseconds of one certificate each
+_SUBCOVER = """\
+import random, statistics, time
+from math import gcd
+from primspec.zsymbolic import extract_finite_subcover_z
+rng = random.Random(0)
+batch = []
+while len(batch) < 900:
+    r = rng.randrange(2, 10**9)
+    s = [rng.randrange(2, 10**9) for _ in range(9)]
+    if pow(r, 30, gcd(*s)) == 0:
+        batch.append((r, s))
+times = []
+for r, s in batch:
+    start = time.perf_counter()
+    extract_finite_subcover_z(r, s)
+    times.append(time.perf_counter() - start)
+print(statistics.median(times) * 1e6)
+"""
 
 
 def _run_seconds(args: list[str], env: dict[str, str]) -> float:
@@ -64,6 +89,18 @@ def _run_seconds(args: list[str], env: dict[str, str]) -> float:
         stdout=subprocess.DEVNULL,
     )
     return time.perf_counter() - start
+
+
+def _run_output(args: list[str], env: dict[str, str]) -> str:
+    """Standard output of one fresh interpreter running ``args``."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env,
+        check=True,
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        text=True,
+    ).stdout
 
 
 def run_order(specs: list, columns: list[str]) -> list[tuple]:
@@ -110,6 +147,16 @@ def time_startup(envs: dict[str, dict[str, str]]) -> dict[str, float]:
     return {column: round(statistics.median(t) * 1000, 1) for column, t in times.items()}
 
 
+def time_subcover(envs: dict[str, dict[str, str]]) -> dict[str, float]:
+    """Median in-process microseconds per column of one certificate of the
+    fixed batch in ``_SUBCOVER``, from one fresh interpreter per column with
+    the column's environment from ``_warm_envs``, in ``run_order``."""
+    return {
+        column: round(float(_run_output(["-c", _SUBCOVER], envs[column])), 1)
+        for _, column in run_order([_SUBCOVER], list(envs))
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -132,10 +179,13 @@ def main(argv: list[str] | None = None) -> int:
     envs = _warm_envs(dict(zip(args.column, srcs)))
     columns = time_exports(SCALE_CORPUS, envs)
     startup = time_startup(envs)
+    subcover = time_subcover(envs)
     table.setdefault("wall_s", {}).update(columns)
     table.setdefault("startup_ms", {}).update(startup)
+    table.setdefault("subcover_us", {}).update(subcover)
     args.out.write_text(json.dumps(table, indent=2) + "\n")
-    print(json.dumps({"wall_s": columns, "startup_ms": startup}, indent=2))
+    summary = {"wall_s": columns, "startup_ms": startup, "subcover_us": subcover}
+    print(json.dumps(summary, indent=2))
     return 0
 
 

@@ -291,13 +291,16 @@ def extract_finite_subcover_z(r: int, s_values: list[int]) -> SubcoverCertificat
 
     Requires X_r to be covered, i.e. every prime dividing gcd(s_values)
     must divide r; otherwise NotACoverError carries an uncovered prime
-    family.  The certificate is re-verified in exact arithmetic.  Only r
-    is factored; coverage is decided by stripping gcds with r.
+    family.  The certificate is re-verified in exact arithmetic.  A cover
+    factors nothing: coverage is decided by stripping gcds with r, and the
+    exponent k is the least with gcd(delta) | r^k.  Only a non-cover
+    factors, and only the part of the gcd prime to r, to name a prime.
     """
     if r == 0:
         raise ValueError("r must be nonzero")
     nonzero = [s for s in s_values if s != 0]
-    r_factors = factorize(r)
+    if abs(r).bit_length() > 64:
+        raise ValueError("input exceeds 64 bits")
     if not nonzero:
         raise NotACoverError(
             "no nonzero covering elements: the zero ideal stays uncovered"
@@ -324,14 +327,12 @@ def extract_finite_subcover_z(r: int, s_values: list[int]) -> SubcoverCertificat
             continue
         i += 1
     g_d, coeffs = _bezout_chain(delta)
-    exponent = 1
-    for p, e in r_factors:
-        k, v = 0, g_d
-        while v % p == 0:
-            v //= p
-            k += 1
-        exponent = max(exponent, -(-k // e))
-    power = r**exponent
+    # every prime of g_d divides r, so g_d | r^k once k reaches the largest
+    # exponent in g_d: at most g_d.bit_length() steps
+    exponent, power = 1, r
+    while power % g_d:
+        exponent += 1
+        power *= r
     scale = power // g_d
     cert = SubcoverCertificate(
         r=r,

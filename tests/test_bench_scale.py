@@ -58,3 +58,24 @@ def test_time_startup_imports_the_cli_in_a_fresh_interpreter(monkeypatch):
     monkeypatch.setattr(bench, "STARTUP_SAMPLES", 1)
     ms = bench.time_startup(bench._warm_envs({"only": ROOT / "src"}))
     assert list(ms) == ["only"] and 0 < ms["only"] < 30_000
+
+
+def test_time_subcover_runs_one_interpreter_per_tree_in_run_order(monkeypatch):
+    bench = _bench_scale()
+    calls = []
+
+    def fake_output(args, env):
+        calls.append((args, env["tree"]))
+        return f"{len(calls) * 12.34}\n"  # the k-th interpreter reads 12.34 k us
+
+    monkeypatch.setattr(bench, "_run_output", fake_output)
+    medians = bench.time_subcover({"parent": {"tree": "p"}, "change": {"tree": "c"}})
+    assert calls == [(["-c", bench._SUBCOVER], "p"), (["-c", bench._SUBCOVER], "c")]
+    assert medians == {"parent": 12.3, "change": 24.7}
+    assert list(medians) == ["parent", "change"]
+
+
+def test_time_subcover_times_covering_certificates_in_a_fresh_interpreter():
+    bench = _bench_scale()
+    us = bench.time_subcover(bench._warm_envs({"only": ROOT / "src"}))
+    assert list(us) == ["only"] and 0 < us["only"] < 10_000

@@ -1,6 +1,8 @@
 """Symbolic primary spectra of Z and Z x Z."""
 
+import itertools
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -441,7 +443,7 @@ def test_subcover_matches_the_factoring_oracle():
     }
 
 
-def test_subcover_factors_only_r(monkeypatch):
+def test_subcover_factors_nothing_on_a_cover(monkeypatch):
     calls = []
 
     def counted(n):
@@ -449,10 +451,60 @@ def test_subcover_factors_only_r(monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr(zsymbolic, "factorize", counted)
-    for r, s_values in [(6, [4, 9, 25]), (2, [8]), (-12, [0, 18, -27, 32]), (7, [10, 21])]:
-        calls.clear()
-        assert extract_finite_subcover_z(r, s_values).verify()
-        assert calls == [r]
+    covers = [
+        ((6, [4, 9, 25]), 2),
+        ((2, [8]), 3),
+        ((-12, [0, 18, -27, 32]), 2),
+        ((7, [10, 21]), 1),
+        ((12, [8]), 2),
+        ((-2, [1024]), 10),
+    ]
+    for (r, s_values), exponent in covers:
+        cert = extract_finite_subcover_z(r, s_values)
+        assert cert.verify() and cert.exponent == exponent
+    assert calls == []
+    with pytest.raises(NotACoverError) as err:
+        extract_finite_subcover_z(6, [35, 70])
+    assert err.value.uncovered_prime == 5
+    assert calls == [35]
+
+
+# pairs of 2-3-5 numbers whose gcds range over covers needing exponents
+# up to 7 and non-covers by each prime
+_GRID_PAIRS = list(
+    itertools.combinations(
+        [0, 1, 2**7, 3**5, 5**4, 2**3 * 3**2, 2 * 5**3, 3**3 * 5, 2**6 * 3 * 5**2, 30, 900],
+        2,
+    )
+)
+
+
+def _grid_values(bound):
+    """Every +-2^a * 3^b * 5^c of absolute value at most bound."""
+    values = [
+        sign * 2**a * 3**b * 5**c
+        for a in range(bound.bit_length())
+        for b in range(bound.bit_length())
+        for c in range(bound.bit_length())
+        for sign in (1, -1)
+    ]
+    return sorted(v for v in values if abs(v) <= bound)
+
+
+def test_subcover_matches_the_factoring_oracle_on_a_2_3_5_grid():
+    outcomes = Counter()
+    for r in _grid_values(10**4):
+        for s_values in _GRID_PAIRS:
+            expected = _subcover_outcome(subcover_by_factoring, r, list(s_values))
+            got = _subcover_outcome(extract_finite_subcover_z, r, list(s_values))
+            assert got == expected, (r, s_values)
+            outcomes[expected[0], expected[0] == "cover" and expected[3] > 1] += 1
+    assert set(outcomes) == {("cover", True), ("cover", False), ("not a cover", False)}
+    assert outcomes["cover", True] > outcomes["cover", False] / 4
+    # the 64-bit bound on r is checked before the cover is
+    with pytest.raises(ValueError, match="input exceeds 64 bits") as err:
+        extract_finite_subcover_z(2**64, [0])
+    assert not isinstance(err.value, NotACoverError)
 
 
 def test_subcover_accepts_a_gcd_above_63_bits():
