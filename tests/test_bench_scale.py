@@ -72,7 +72,6 @@ def test_time_subcover_runs_one_interpreter_per_tree_in_run_order(monkeypatch):
     medians = bench.time_subcover({"parent": {"tree": "p"}, "change": {"tree": "c"}})
     assert calls == [(["-c", bench._SUBCOVER], "p"), (["-c", bench._SUBCOVER], "c")]
     assert medians == {"parent": 12.3, "change": 24.7}
-    assert list(medians) == ["parent", "change"]
 
 
 def test_time_subcover_times_covering_certificates_in_a_fresh_interpreter():
