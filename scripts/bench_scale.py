@@ -1,9 +1,10 @@
 """Wall time of ``primspec export`` on the fixed scale corpus.
 
-Each ring is exported once per source tree in a fresh interpreter,
-interpreter start included, with ``primspec`` imported from that tree.
-Every tree exports a ring before any tree moves on to the next ring, and
-the tree that goes first alternates from ring to ring, so drift of the
+Each ring is exported ``EXPORT_SAMPLES`` times per source tree, each time
+in a fresh interpreter, interpreter start included, with ``primspec``
+imported from that tree, and the table keeps the median.  Every tree
+exports a ring before any tree moves on to the next export, and the tree
+that goes first alternates from one export to the next, so drift of the
 host shows in every column alike rather than as a difference between
 trees.  Each ``--column`` names the tree given by the ``--src`` in the
 same place (this checkout's ``src`` when no ``--src`` is given), and the
@@ -54,6 +55,9 @@ SCALE_CORPUS = [
 
 _EXPORT = "import sys; from primspec.cli import main; sys.exit(main(sys.argv[1:]))"
 _IMPORT = "import primspec.cli"
+# one export per tree can read a ring a tenth slower or faster than the
+# next on a shared host, so each ring's time is a median
+EXPORT_SAMPLES = 5
 STARTUP_SAMPLES = 11
 # 900 covers drawn from seed 0 (nine random values below 10^9 have a gcd
 # g below 2^30, so every prime of g divides r exactly when g | r^30), then
@@ -127,14 +131,21 @@ def _warm_envs(trees: dict[str, Path]) -> dict[str, dict[str, str]]:
 
 
 def time_exports(specs: list[str], envs: dict[str, dict[str, str]]) -> dict[str, dict[str, float]]:
-    """Wall seconds of one ``export SPEC --seed 0`` per spec and column, each
-    in a fresh interpreter with the column's environment from ``_warm_envs``,
-    in ``run_order``."""
-    times: dict[str, dict[str, float]] = {column: {} for column in envs}
-    for spec, column in run_order(specs, list(envs)):
+    """Median wall seconds of ``EXPORT_SAMPLES`` runs of ``export SPEC
+    --seed 0`` per spec and column, each in a fresh interpreter with the
+    column's environment from ``_warm_envs``, in ``run_order`` over the
+    specs with each one repeated in place."""
+    samples: dict[str, dict[str, list[float]]] = {
+        column: {spec: [] for spec in specs} for column in envs
+    }
+    repeated = [spec for spec in specs for _ in range(EXPORT_SAMPLES)]
+    for spec, column in run_order(repeated, list(envs)):
         args = ["-c", _EXPORT, "export", spec, "--seed", "0"]
-        times[column][spec] = round(_run_seconds(args, envs[column]), 2)
-    return times
+        samples[column][spec].append(_run_seconds(args, envs[column]))
+    return {
+        column: {spec: round(statistics.median(t), 2) for spec, t in by_spec.items()}
+        for column, by_spec in samples.items()
+    }
 
 
 def time_startup(envs: dict[str, dict[str, str]]) -> dict[str, float]:
@@ -172,7 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give distinct column names, one per --src")
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {}
-    table["command"] = "primspec export SPEC --seed 0, one fresh interpreter per ring"
+    table["command"] = (
+        f"primspec export SPEC --seed 0, median of {EXPORT_SAMPLES} fresh interpreters per ring"
+    )
     table["python"] = platform.python_version()
     table["nproc"] = len(os.sched_getaffinity(0))
     table["rings"] = SCALE_CORPUS

@@ -2,7 +2,10 @@
 
 Ideals are bit-sets over element indices.  Every ideal is built as a sum
 of principal ideals: in a ring with 1, R*g is already an ideal and I + J
-is one too, so no additive closure is ever computed.  The complete
+is one too, so no additive closure is ever computed.  R*g is read once per
+associate class g*U (U the units): R*(gu) = R*g for every unit u, so the
+row of g gives the ideal of every gu = row[u] too, the same set that
+row's own entries would give.  The complete
 lattice is built in one pass over the distinct principal ideals, smallest
 first: one already in the lattice is a sum of smaller ones and is
 skipped, and each other one is added to every member found so far.  The
@@ -12,12 +15,22 @@ A sum I + J walks cosets: it starts from the larger ideal and adds one coset
 I + y for each y of the other not yet covered, so it costs the size of
 I + J in lookups.  Ids are assigned canonically: sorted by cardinality,
 then by the sorted member tuple, so id 0 is always the zero ideal and the
-last id the unit ideal.
+last id the unit ideal.  The sort key spells the member tuple as one
+string of binary digits, which orders two sets of one size exactly as
+their member tuples do (``canonical_key``).
+
+rad(I) is the set of x whose top power x^N lies in I.  The elements are
+grouped by top power once per ring, and rad(I) is the union of the groups
+whose top power is in I: the same test, made once per distinct top power
+instead of once per element.
 
 Whether rs lies in I depends only on r and s mod I, and rad(I) is a union
 of I-cosets, so the primary test of I scans pairs of coset
 representatives of R/I rather than pairs of elements, and only cosets of
-non-units, since a coset holding a unit never fails the test.  A prime
+non-units, since a coset holding a unit never fails the test.  Each
+representative is paired with the earlier ones as the cosets are found,
+and the test stops at the first failing pair; it answers True only after
+every pair has passed, so the verdict is that of the full scan.  A prime
 ideal is a primary ideal that is its own radical.
 
 The pass is kept as a sum tree: every member after the zero ideal was
@@ -60,17 +73,37 @@ def mask_of(indices) -> int:
     return mask
 
 
-def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Sort key of the canonical order of bit-sets: cardinality, then members."""
-    return mask.bit_count(), tuple(iter_bits(mask))
+_SWAP_DIGITS = str.maketrans("01", "10")
+
+
+def canonical_key(mask: int) -> tuple[int, str]:
+    """Sort key of the canonical order of bit-sets: cardinality, then the
+    sorted member tuple.  Two sets of one size have member lists that first
+    differ at the lowest bit of a ^ b, and the set holding that bit comes
+    first; so the second part is the binary digits from bit 0 up, with 0
+    and 1 swapped, compared as a string.  Both strings reach that bit: the
+    other set, as large and equal below it, has a member above it."""
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_SWAP_DIGITS)
 
 
 def _principal_masks(ring: FiniteRing) -> list[int]:
-    """R*g for every element g.  R is commutative and has 1, so R*g is the
-    set of entries of the row mul[g], already closed under +; a row that
-    holds 1 belongs to a unit, whose principal ideal is R."""
+    """R*g for every element g, one set per associate class.  R is
+    commutative and has 1, so R*g is the set of entries of the row mul[g],
+    already closed under +.  A row that holds 1 belongs to a unit, whose
+    principal ideal is R.  For a unit u, R*(gu) = R*g, so the mask of g
+    goes to every gu = row[u] too, and the next row read is that of an
+    element outside every class seen so far."""
     full, one = (1 << ring.size) - 1, ring.one_index
-    return [full if one in row else mask_of(set(row)) for row in ring.mul]
+    units = [u for u, row in enumerate(ring.mul) if one in row]
+    out = [0] * ring.size  # 0 is no ideal: every ideal holds the zero element
+    for u in units:
+        out[u] = full
+    for g, row in enumerate(ring.mul):
+        if not out[g]:
+            mask = mask_of(set(row))
+            for u in units:
+                out[row[u]] = mask
+    return out
 
 
 def _cosets(ring: FiniteRing, a: int, b: int):
@@ -111,12 +144,23 @@ def _sum_mask(ring: FiniteRing, a: int, b: int) -> int:
     return out
 
 
-def _radical_mask(ring: FiniteRing, mask: int) -> int:
-    """rad(I): the x whose top power x^N (``FiniteRing.top_powers``) is in I."""
-    out = 0
+def _radical_masks(ring: FiniteRing, masks: list[int]) -> list[int]:
+    """rad(I) for each I in ``masks``: the x whose top power x^N
+    (``FiniteRing.top_powers``) is in I.  The elements are grouped by top
+    power once, so rad(I) is the union of the groups whose top power lies
+    in I, one group per member of I that is some element's top power."""
+    groups: dict[int, int] = {}
     for x, t in enumerate(ring.top_powers):
-        if (mask >> t) & 1:
-            out |= 1 << x
+        groups[t] = groups.get(t, 0) | 1 << x
+    tops = mask_of(groups)
+    out = []
+    for mask in masks:
+        rad, left = 0, mask & tops
+        while left:
+            low = left & -left
+            rad |= groups[low.bit_length() - 1]
+            left ^= low
+        out.append(rad)
     return out
 
 
@@ -161,7 +205,7 @@ class IdealLattice:
             self._join_columns.append(by_id)
         full = (1 << ring.size) - 1
         self.proper = [m != full for m in self.masks]
-        self.radical_ids = [self.id_by_mask[_radical_mask(ring, m)] for m in self.masks]
+        self.radical_ids = [self.id_by_mask[r] for r in _radical_masks(ring, self.masks)]
         self.upper_covers = [self._upper_covers(i) for i in range(len(self.masks))]
         self.maximal = [
             proper and covers == [self.unit_id]
@@ -213,17 +257,29 @@ class IdealLattice:
         so the scan runs over the least element of each non-zero coset of
         R/Q.  A coset holding a unit u never fails (us in Q puts s in Q), so
         only cosets inside ``non_units`` (the union of the maximal ideals)
-        are scanned."""
+        are scanned.  R is commutative, so a pair of representatives fails
+        when their product is in Q and one of them is outside rad(Q).  Each
+        representative is paired, as it appears, with itself and every
+        earlier one, and the scan stops at the first failing pair; a True
+        verdict has tested every pair."""
         if not self.proper[i]:
             return False
         mask = self.masks[i]
         rad = self.masks[self.radical_ids[i]]
         mul = self.ring.mul
-        reps = [y for y, coset in _cosets(self.ring, mask, non_units) if coset & ~non_units == 0]
-        outside_rad = [s for s in reps if not (rad >> s) & 1]
-        for r in reps:
-            row = mul[r]
-            for s in outside_rad:
+        reps: list[int] = []  # the representatives so far
+        outside_rad: list[int] = []  # those of them outside rad(Q)
+        for y, coset in _cosets(self.ring, mask, non_units):
+            if coset & ~non_units:
+                continue
+            reps.append(y)
+            if (rad >> y) & 1:
+                partners = outside_rad
+            else:
+                outside_rad.append(y)
+                partners = reps  # y itself included
+            row = mul[y]
+            for s in partners:
                 if (mask >> row[s]) & 1:
                     return False
         return True

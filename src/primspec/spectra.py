@@ -2,11 +2,15 @@
 
 The primary spectrum has point set Prim(R) (all primary ideals) and closed
 sets ``variety(I) = {Q : I contained in the radical of Q}``; the prime
-spectrum uses the classical ``{P : I contained in P}``.  Point sets are int
-bit-masks over point positions: bit i stands for ``points[i]``.  A spectrum
-is itself a ``FiniteTopology``, so the ``topology`` checkers take it
-directly, and its verdicts are cached attributes.  Closed sets are stored
-deduplicated, each with back-references to every generating ideal.
+spectrum uses the classical ``{P : I contained in P}``.  A point enters a
+variety through its radical alone (a prime is its own radical), so the
+points are grouped by radical once, and a variety or a basic open makes one
+subset test per distinct radical, adding every point of a radical that
+holds the ideal or the element.  Point sets are int bit-masks over point
+positions: bit i stands for ``points[i]``.  A spectrum is itself a
+``FiniteTopology``, so the ``topology`` checkers take it directly, and its
+verdicts are cached attributes.  Closed sets are stored deduplicated, each
+with back-references to every generating ideal.
 """
 
 from __future__ import annotations
@@ -28,8 +32,13 @@ class Spectrum(FiniteTopology):
         self.lattice = lattice
         flags = lattice.prime if kind == "prime" else lattice.primary
         self.points = [i for i in range(len(lattice)) if flags[i]]
-        # a prime is its own radical, so both kinds test I against rad(Q)
-        self._point_masks = [lattice.mask(lattice.radical_ids[i]) for i in self.points]
+        # a prime is its own radical, so both kinds test I against rad(Q);
+        # (radical mask, positions of the points with that radical)
+        by_radical: dict[int, int] = {}
+        for pos, i in enumerate(self.points):
+            rad = lattice.mask(lattice.radical_ids[i])
+            by_radical[rad] = by_radical.get(rad, 0) | 1 << pos
+        self._radical_classes = list(by_radical.items())
         self.varieties = [self._variety_of_mask(m) for m in lattice.masks]
         by_set: dict[int, list[int]] = {}
         for ideal_id, closed in enumerate(self.varieties):
@@ -40,10 +49,13 @@ class Spectrum(FiniteTopology):
     # -- varieties -----------------------------------------------------------
 
     def _variety_of_mask(self, element_mask: int) -> int:
+        """The points whose radical holds ``element_mask``: a point enters
+        the variety through its radical alone, so one subset test decides
+        every point with the same radical."""
         out = 0
-        for pos, pm in enumerate(self._point_masks):
-            if element_mask & ~pm == 0:
-                out |= 1 << pos
+        for rad, positions in self._radical_classes:
+            if element_mask & ~rad == 0:
+                out |= positions
         return out
 
     def variety(self, ideal_id: int) -> int:

@@ -250,7 +250,9 @@ class SubcoverCertificate(record("SubcoverCertificate", "r delta exponent coeffi
         combo = " + ".join(
             f"{c}*{s}" for c, s in zip(self.coefficients, self.delta)
         )
-        return f"{self.r}^{self.exponent} = {combo}"
+        # (-2)^10, not -2^10, which reads as -(2^10)
+        base = f"({self.r})" if self.r < 0 else str(self.r)
+        return f"{base}^{self.exponent} = {combo}"
 
 
 def _bezout_chain(values: list[int]) -> tuple[int, list[int]]:

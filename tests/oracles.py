@@ -5,7 +5,7 @@ import itertools
 from math import gcd, isqrt
 
 from primspec.classify import AConditionsResult, _first_failing_fold
-from primspec.ideals import _sum_mask, canonical_key, iter_bits
+from primspec.ideals import _cosets, _sum_mask, iter_bits, mask_of
 from primspec.rings import (
     FiniteRing,
     GFSpec,
@@ -33,6 +33,52 @@ def _principal_mask(ring: FiniteRing, g: int) -> int:
     for x in set(ring.mul[g]):
         mask |= 1 << x
     return mask
+
+
+def canonical_key_by_members(mask: int) -> tuple[int, tuple[int, ...]]:
+    """The canonical order of bit-sets, spelled out: cardinality, then the
+    sorted member tuple."""
+    return mask.bit_count(), tuple(iter_bits(mask))
+
+
+def radical_mask_by_elements(ring: FiniteRing, mask: int) -> int:
+    """rad(I), one top-power test per element: the x whose top power x^N
+    (``FiniteRing.top_powers``) is in I."""
+    out = 0
+    for x, t in enumerate(ring.top_powers):
+        if (mask >> t) & 1:
+            out |= 1 << x
+    return out
+
+
+def primary_flags_by_coset_scan(ring: FiniteRing, masks: list[int], rads: list[int]) -> list[bool]:
+    """Whether each ideal of ``masks``, with its radical in ``rads``, is
+    primary: proper, and no pair of coset representatives r, s of R/Q, both
+    in cosets of non-units, has rs in Q with s outside rad(Q).  Every
+    representative is gathered before any pair is tested, and every pair
+    is tested."""
+    full, one = (1 << ring.size) - 1, ring.one_index
+    non_units = mask_of(x for x, row in enumerate(ring.mul) if one not in row)
+    flags = []
+    for mask, rad in zip(masks, rads):
+        reps = [y for y, coset in _cosets(ring, mask, non_units) if coset & ~non_units == 0]
+        outside_rad = [s for s in reps if not (rad >> s) & 1]
+        flags.append(
+            mask != full
+            and not any((mask >> ring.mul[r][s]) & 1 for r in reps for s in outside_rad)
+        )
+    return flags
+
+
+def variety_by_points(spectrum, element_mask: int) -> int:
+    """The points whose radical holds ``element_mask``, one subset test per
+    point (a prime is its own radical, so this serves both spectrum kinds)."""
+    lattice = spectrum.lattice
+    out = 0
+    for pos, q in enumerate(spectrum.points):
+        if element_mask & ~lattice.mask(lattice.radical_ids[q]) == 0:
+            out |= 1 << pos
+    return out
 
 
 def ideal_generated_by(ring: FiniteRing, gens) -> int:
@@ -152,7 +198,7 @@ def is_irreducible_by_relative_scan(t, subset: int | None = None):
     space = t.full if subset is None else subset
     if not space:
         return False, None
-    relative = sorted({c & space for c in t.closed_sets}, key=canonical_key)
+    relative = sorted({c & space for c in t.closed_sets}, key=canonical_key_by_members)
     proper = [c for c in relative if c != space]
     for i, a in enumerate(proper):
         for b in proper[i + 1 :]:

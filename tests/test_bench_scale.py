@@ -14,15 +14,34 @@ def _bench_scale():
     return module
 
 
-def test_time_exports_times_one_export_per_ring():
+def test_time_exports_times_one_export_per_ring(monkeypatch):
     # the same tree twice, as two columns
     bench = _bench_scale()
+    monkeypatch.setattr(bench, "EXPORT_SAMPLES", 1)
     envs = bench._warm_envs({"first": ROOT / "src", "second": ROOT / "src"})
     times = bench.time_exports(["Zn(12)", "Zn(6)"], envs)
     assert list(times) == ["first", "second"]
     for column in times.values():
         assert list(column) == ["Zn(12)", "Zn(6)"]
         assert all(0 < t < 30 for t in column.values())
+
+
+def test_time_exports_keeps_the_median_of_repeats_in_run_order(monkeypatch):
+    bench = _bench_scale()
+    calls = []
+
+    def fake_run(args, env):
+        calls.append((args[3], env["tree"]))
+        return len(calls)  # the k-th interpreter takes k seconds
+
+    monkeypatch.setattr(bench, "_run_seconds", fake_run)
+    monkeypatch.setattr(bench, "EXPORT_SAMPLES", 3)
+    times = bench.time_exports(["A", "B"], {"parent": {"tree": "p"}, "change": {"tree": "c"}})
+    # each repeat of a ring is one item of run_order, so the first tree
+    # alternates between repeats too
+    assert calls == [("A", t) for t in "pccppc"] + [("B", t) for t in "cppccp"]
+    # medians of A (1, 4, 5) / (2, 3, 6) and B (8, 9, 12) / (7, 10, 11)
+    assert times == {"parent": {"A": 4, "B": 9}, "change": {"A": 3, "B": 10}}
 
 
 def test_run_order_interleaves_trees_and_alternates_the_first():

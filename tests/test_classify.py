@@ -818,3 +818,59 @@ def test_a_mutant_of_one_side_moves_that_side_only(entry_id, spec, mutate, sides
     assert (entry.applicable, entry.lhs, entry.rhs, entry.passed) == (True, True, True, True)
     entry = verify_theorems(mutate(analyze_ring(spec))).entry(entry_id)
     assert (entry.lhs, entry.rhs, entry.passed) == (*sides, False)
+
+
+def _radical_of_zero_shifted(a):
+    # the radical of (0) read as the next ideal; the spectrum, built first,
+    # keeps the true radicals
+    radical_ids = list(a.lattice.radical_ids)
+    radical_ids[a.lattice.zero_id] += 1
+    return _copy_with(a, prim=a.prim, lattice=_copy_with(a.lattice, radical_ids=radical_ids))
+
+
+def _with_prim_bit_flipped(attr, index, pos):
+    """Point ``pos`` toggled in entry ``index`` of the point-set list
+    ``attr`` of Prim."""
+
+    def mutate(a):
+        sets = list(getattr(a.prim, attr))
+        sets[index] ^= 1 << pos
+        return _with_prim(**{attr: sets})(a)
+
+    return mutate
+
+
+# entry, then the ring, a mutation of the law's input and the witness the
+# failed law must name; each ring passes the entry unmutated.  Zn(12) is
+# not reduced: its nilradical is (6), and its points are (4), (3), (2)
+LAW_MUTANTS = {
+    # (0) and (4) cut out {(4), (3), (2)} and {(4), (2)}
+    "variety-radical-invariance": ("Zn(12)", _radical_of_zero_shifted, "(0)"),
+    # the nilpotent 6 opens {(4)}
+    "basic-open-empty-iff-nilpotent": (
+        "Zn(12)",
+        _with_prim_bit_flipped("basic_opens", 6, 0),
+        "6",
+    ),
+    # (4) read as lying in the closure of (3)
+    "point-closure-is-variety": (
+        "Zn(12)",
+        _with_prim_bit_flipped("point_closures", 1, 0),
+        "(3)",
+    ),
+    # (2) read as lying outside the closure of (4), though (4) is inside (2)
+    "specialization-radical-test": (
+        "Zn(12)",
+        _with_prim_bit_flipped("point_closures", 0, 2),
+        "(4), (2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_id", LAW_MUTANTS)
+def test_a_mutant_of_a_law_input_fails_it_with_a_witness(entry_id):
+    spec, mutate, witness = LAW_MUTANTS[entry_id]
+    entry = verify_theorems(analyze_ring(spec)).entry(entry_id)
+    assert (entry.applicable, entry.passed) == (True, True)
+    entry = verify_theorems(mutate(analyze_ring(spec))).entry(entry_id)
+    assert (entry.passed, entry.witness) == (False, witness)

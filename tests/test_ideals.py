@@ -6,11 +6,17 @@ from collections import deque
 
 import pytest
 from oracles import (
+    _principal_mask,
+    canonical_key_by_members,
     dot_ideal_lattice_by_scan,
+    every_spec,
     ideal_generated_by,
     is_maximal_by_scan,
     least_superset,
+    primary_flags_by_coset_scan,
+    radical_mask_by_elements,
     upper_covers_by_scan,
+    variety_by_points,
 )
 
 from primspec.corpus import DEFAULT_CORPUS
@@ -18,6 +24,7 @@ from primspec.ideals import (
     _cosets,
     _principal_masks,
     _sum_mask,
+    canonical_key,
     enumerate_ideals,
     iter_bits,
     mask_of,
@@ -30,6 +37,7 @@ from primspec.rings import (
     parse_ring_spec,
     unit_and_nilpotent_flags,
 )
+from primspec.spectra import Spectrum
 
 
 def _ring(text):
@@ -621,3 +629,47 @@ def test_chain_ring_ideals_have_one_upper_cover(n):
     lat = _lattice(f"Zn({n})")
     assert lat.upper_covers == [[i + 1] for i in range(len(lat) - 1)] + [[]]
     assert lat.maximal == [i == len(lat) - 2 for i in range(len(lat))]
+
+
+# -- the class-wise routines against their per-element oracles --------------
+
+
+def test_canonical_key_orders_like_the_member_tuples():
+    # masks of one size that share low bits, as far as 1024 elements
+    rng = random.Random(7)
+    masks = [0, 1, 2, 3, (1 << 1024) - 1]
+    for _ in range(400):
+        low = rng.getrandbits(rng.choice((4, 12, 40)))
+        masks.append(low | rng.getrandbits(1024) << 40)
+        masks.append(low | 1 << rng.randrange(40, 1024))
+    masks += [m ^ (1 << 3) for m in masks[5:]]
+    assert sorted(masks, key=canonical_key) == sorted(masks, key=canonical_key_by_members)
+
+
+def test_class_wise_layers_agree_with_oracles_on_every_spec_up_to_32_elements():
+    # the principal ideals, radicals, primary and prime flags, the canonical
+    # order, and both spectra's varieties and basic opens; and |L| <= |R|,
+    # with equality exactly when every element is idempotent
+    boolean = 0
+    for spec in every_spec(32):
+        ring = build_ring(spec)
+        lat = enumerate_ideals(ring)
+        label = str(spec)
+        assert _principal_masks(ring) == [_principal_mask(ring, g) for g in range(ring.size)], label
+        assert lat.masks == sorted(lat.masks, key=canonical_key_by_members), label
+        rads = [radical_mask_by_elements(ring, m) for m in lat.masks]
+        assert [lat.masks[r] for r in lat.radical_ids] == rads, label
+        primary = primary_flags_by_coset_scan(ring, lat.masks, rads)
+        assert lat.primary == primary, label
+        assert lat.prime == [q and m == r for q, m, r in zip(primary, lat.masks, rads)], label
+        for kind in ("primary", "prime"):
+            space = Spectrum(lat, kind)
+            assert space.varieties == [variety_by_points(space, m) for m in lat.masks], label
+            assert space.basic_opens == [
+                space.full ^ variety_by_points(space, 1 << r) for r in range(ring.size)
+            ], label
+        idempotent = all(ring.mul[x][x] == x for x in range(ring.size))
+        assert len(lat) <= ring.size and (len(lat) == ring.size) == idempotent, label
+        boolean += idempotent
+    # the rings F_2^k, GF(2) and Zn(2) among them, in every spelling
+    assert boolean == 556

@@ -6,7 +6,8 @@ A change that alters output on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_output_digests.py
 
-and says so in CHANGES.md.
+which prints each command line whose digest it changes, adds or drops
+before it rewrites the table, and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -140,15 +141,36 @@ def digests() -> dict[str, str]:
     return {shlex.join(argv): digest(argv) for argv in command_lines()}
 
 
+def differences(expected: dict[str, str], got: dict[str, str]) -> dict[str, list[str]]:
+    """The command lines of ``got`` whose digest differs from ``expected``,
+    those ``expected`` lacks, and those of ``expected`` that ``got`` lacks."""
+    return {
+        "changed": [line for line in got if line in expected and got[line] != expected[line]],
+        "added": [line for line in got if line not in expected],
+        "dropped": [line for line in expected if line not in got],
+    }
+
+
 def test_every_command_line_prints_what_the_table_records():
     expected = json.loads(TABLE.read_text(encoding="utf-8"))
-    got = digests()
-    changed = [line for line in got if line in expected and got[line] != expected[line]]
-    missing = [line for line in expected if line not in got]
-    unrecorded = [line for line in got if line not in expected]
-    assert (changed, missing, unrecorded) == ([], [], [])
+    assert differences(expected, digests()) == {"changed": [], "added": [], "dropped": []}
+
+
+def test_differences_name_changed_added_and_dropped_lines():
+    expected = {"info Zn(6)": "a", "z v 0": "b", "z v 1": "c"}
+    got = {"info Zn(6)": "a", "z v 0": "x", "z v 2": "d"}
+    assert differences(expected, got) == {
+        "changed": ["z v 0"],
+        "added": ["z v 2"],
+        "dropped": ["z v 1"],
+    }
 
 
 if __name__ == "__main__":
-    TABLE.write_text(json.dumps(digests(), indent=1) + "\n", encoding="utf-8")
+    got = digests()
+    expected = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {}
+    for kind, lines in differences(expected, got).items():
+        for line in lines:
+            print(f"{kind}: {line}")
+    TABLE.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
     sys.exit(0)
