@@ -41,7 +41,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 # a 1024-element ring of each constructor, a CRT split, and GF(2)^7,
 # GF(2)^9 and GF(2)^10, whose every ideal is principal (128, 512 and 1024
-# ideals, the last the most of any ring the default cap admits)
+# ideals, the last the most of any ring the default cap admits); then
+# Quot(Zn(32), x^2), with 36 Prim points as Quot(Zn(4), x^5) has, and
+# Quot(Zn(4), x^2) times GF(2)^6, with 448 ideals (neither all principal
+# nor a chain) and 128 closed sets
 SCALE_CORPUS = [
     "Zn(1024)",
     "GF(2^10)",
@@ -51,6 +54,8 @@ SCALE_CORPUS = [
     "Prod(GF(2), " * 6 + "GF(2)" + ")" * 6,
     "Prod(GF(2), " * 8 + "GF(2)" + ")" * 8,
     "Prod(GF(2), " * 9 + "GF(2)" + ")" * 9,
+    "Quot(Zn(32), x^2)",
+    "Prod(Quot(Zn(4), x^2), " + "Prod(GF(2), " * 5 + "GF(2)" + ")" * 6,
 ]
 
 _EXPORT = "import sys; from primspec.cli import main; sys.exit(main(sys.argv[1:]))"

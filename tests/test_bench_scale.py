@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from primspec.classify import analyze_ring
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_scale.py"
 
@@ -97,3 +99,18 @@ def test_time_subcover_times_covering_certificates_in_a_fresh_interpreter():
     bench = _bench_scale()
     us = bench.time_subcover(bench._warm_envs({"only": ROOT / "src"}))
     assert list(us) == ["only"] and 0 < us["only"] < 10_000
+
+
+def test_scale_corpus_rings_have_the_shapes_its_comment_names():
+    corpus = _bench_scale().SCALE_CORPUS
+    assert len(corpus) == len(set(corpus)) == 10
+    # (ideals, Prim points, closed sets) of the Prim-rich and mixed rings
+    shapes = {
+        "Quot(Zn(4), x^5)": (37, 36, 2),
+        "Quot(Zn(32), x^2)": (37, 36, 2),
+        corpus[-1]: (448, 12, 128),
+    }
+    for spec, shape in shapes.items():
+        a = analyze_ring(spec)
+        assert a.ring.size == 1024, spec
+        assert (len(a.lattice), len(a.prim.points), len(a.prim.closed_sets)) == shape, spec
