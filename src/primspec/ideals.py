@@ -24,14 +24,18 @@ grouped by top power once per ring, and rad(I) is the union of the groups
 whose top power is in I: the same test, made once per distinct top power
 instead of once per element.
 
-Whether rs lies in I depends only on r and s mod I, and rad(I) is a union
-of I-cosets, so the primary test of I scans pairs of coset
-representatives of R/I rather than pairs of elements, and only cosets of
-non-units, since a coset holding a unit never fails the test.  Each
-representative is paired with the earlier ones as the cosets are found,
-and the test stops at the first failing pair; it answers True only after
-every pair has passed, so the verdict is that of the full scan.  A prime
-ideal is a primary ideal that is its own radical.
+In a finite ring Q is primary exactly when rad(Q) is prime: Q primary
+makes rad(Q) prime (Atiyah-Macdonald, Prop. 4.1), a prime P is maximal as
+R/P is a finite domain, and a maximal radical makes Q primary (Prop. 4.2).
+So primality is tested once per radical ideal, and the primary flag of Q
+is the prime flag of rad(Q).  Testing "rad(Q) is maximal" instead would
+make prime equal maximal by construction, and zero-dimensionality could
+not fail; so prime flags come from the products, maximal ones from the
+cover relation.  As rs in P depends only on r and s mod P, the test of P
+scans pairs of coset representatives of R/P, and only cosets of non-units:
+one holding a unit never fails, and every non-zero coset of a maximal
+ideal holds one (by CRT).  Each representative is paired with itself and
+the earlier ones as the cosets are found, up to the first product in P.
 
 The pass is kept as a sum tree: every member after the zero ideal was
 first made as m + p, m an earlier member and p a join-irreducible, and
@@ -215,11 +219,11 @@ class IdealLattice:
         for m, flag in zip(self.masks, self.maximal):
             if flag:
                 non_units |= m
-        self.primary = [self._is_primary(i, non_units) for i in range(len(self.masks))]
-        # a prime ideal is a primary ideal that is its own radical
+        # Q is primary exactly when rad(Q) is prime, so only radicals are tested
         self.prime = [
-            self.primary[i] and self.radical_ids[i] == i for i in range(len(self.masks))
+            r == i and self._is_prime(i, non_units) for i, r in enumerate(self.radical_ids)
         ]
+        self.primary = [self.prime[r] for r in self.radical_ids]
         self._generators: dict[int, list[int]] = {self.zero_id: [0]}
 
     def __len__(self) -> int:
@@ -250,36 +254,25 @@ class IdealLattice:
                 covers.append(j)
         return covers
 
-    def _is_primary(self, i: int, non_units: int) -> bool:
-        """Whether rs in Q, r outside Q, forces s into rad(Q).
+    def _is_prime(self, i: int, non_units: int) -> bool:
+        """Whether P is proper and no rs with r, s outside P lies in P.
 
-        That depends only on r and s mod Q, and rad(Q) is a union of cosets,
-        so the scan runs over the least element of each non-zero coset of
-        R/Q.  A coset holding a unit u never fails (us in Q puts s in Q), so
-        only cosets inside ``non_units`` (the union of the maximal ideals)
-        are scanned.  R is commutative, so a pair of representatives fails
-        when their product is in Q and one of them is outside rad(Q).  Each
-        representative is paired, as it appears, with itself and every
-        earlier one, and the scan stops at the first failing pair; a True
-        verdict has tested every pair."""
+        That depends only on r and s mod P, so the scan runs over the least
+        element of each non-zero coset of R/P.  A coset holding a unit u never
+        fails (us in P puts s in P), so only cosets inside ``non_units`` (the
+        union of the maximal ideals) are scanned.  Each representative is
+        paired, as it appears, with itself and every earlier one, and the scan
+        stops at the first pair whose product lies in P."""
         if not self.proper[i]:
             return False
-        mask = self.masks[i]
-        rad = self.masks[self.radical_ids[i]]
-        mul = self.ring.mul
-        reps: list[int] = []  # the representatives so far
-        outside_rad: list[int] = []  # those of them outside rad(Q)
+        mask, mul = self.masks[i], self.ring.mul
+        reps: list[int] = []
         for y, coset in _cosets(self.ring, mask, non_units):
             if coset & ~non_units:
                 continue
             reps.append(y)
-            if (rad >> y) & 1:
-                partners = outside_rad
-            else:
-                outside_rad.append(y)
-                partners = reps  # y itself included
             row = mul[y]
-            for s in partners:
+            for s in reps:
                 if (mask >> row[s]) & 1:
                     return False
         return True

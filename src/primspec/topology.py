@@ -4,7 +4,9 @@ Point sets are int bit-masks: bit i stands for point i.  The closed family
 is the single source of truth: open sets are its complements, and each
 point's closure is the meet of the members that hold it, found once.  The
 closure of any point set is the union of its points' closures, since the
-family is closed under finite unions.  All checkers are pure functions over
+family is closed under finite unions.  Each point's least open is found
+the same way, and two points have disjoint neighbourhoods exactly when
+their least opens are disjoint.  All checkers are pure functions over
 immutable inputs.
 """
 
@@ -46,12 +48,7 @@ class FiniteTopology:
         self._closed_set_set = set(closed_sets)
         self.closed_sets = sorted(self._closed_set_set, key=canonical_key)
         self._validate()
-        # the family holds the full set and is closed under intersection, so
-        # the meet of the members holding x is the least closed set holding x
-        self.point_closures = [self.full] * point_count
-        for c in self.closed_sets:
-            for x in iter_bits(c):
-                self.point_closures[x] &= c
+        self.point_closures = self._least_members(self.closed_sets)
 
     def _validate(self):
         if 0 not in self._closed_set_set:
@@ -67,6 +64,15 @@ class FiniteTopology:
                     raise TopologyAxiomError("family not closed under union")
                 if a & b not in self._closed_set_set:
                     raise TopologyAxiomError("family not closed under intersection")
+
+    def _least_members(self, family) -> list[int]:
+        """Per point, the meet of the members of ``family`` holding it,
+        the least such member when ``family`` is closed under meets."""
+        out = [self.full] * self.point_count
+        for c in family:
+            for x in iter_bits(c):
+                out[x] &= c
+        return out
 
     @cached_property
     def opens(self) -> list[int]:
@@ -100,7 +106,7 @@ class FiniteTopology:
         (T0, T1, T2) order.
         """
         closures = self.point_closures
-        t0_witness = t1_witness = t2_witness = None
+        t0_witness = t1_witness = None
         for x in range(self.point_count):
             for y in range(x + 1, self.point_count):
                 if closures[x] == closures[y] and t0_witness is None:
@@ -110,16 +116,9 @@ class FiniteTopology:
                 other = next(iter_bits(closures[x] & ~(1 << x)), x)
                 t1_witness = (x, other)
                 break
-        opens_with = [[u for u in self.opens if u >> x & 1] for x in range(self.point_count)]
-        for x in range(self.point_count):
-            for y in range(x + 1, self.point_count):
-                if not any(
-                    not (u & v) for u in opens_with[x] for v in opens_with[y]
-                ):
-                    t2_witness = (x, y)
-                    break
-            if t2_witness:
-                break
+        least_opens = self._least_members(self.opens)
+        pairs = itertools.combinations(range(self.point_count), 2)
+        t2_witness = next(((x, y) for x, y in pairs if least_opens[x] & least_opens[y]), None)
         witness = t0_witness or t1_witness or t2_witness
         return SeparationResult(
             t0_witness is None, t1_witness is None, t2_witness is None, witness

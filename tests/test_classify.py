@@ -786,6 +786,17 @@ def _second_point_variety_as_first(a):
     return _with_prim(varieties=varieties)(a)
 
 
+def _nilradical_not_primary(a):
+    # the nilradical read as not primary; Prim, built first, keeps its points
+    primary = list(a.lattice.primary)
+    primary[a.lattice.nilradical_id()] = False
+    return _copy_with(a, prim=a.prim, lattice=_copy_with(a.lattice, primary=primary))
+
+
+# {(0)} and {(4), (2)} read as closed, so the space is their union
+_SPLIT_ZN8 = [0, 0b001, 0b110, 0b111]
+
+
 # entry, ring, mutation of one side's input, (lhs, rhs) it must produce;
 # each ring passes the entry with both sides true
 SIDE_MUTANTS = [
@@ -804,6 +815,13 @@ SIDE_MUTANTS = [
     ("t0-iff-sober", "Zn(6)", _with_prim(sober=False), (True, False)),
     ("t0-iff-variety-injective", "Zn(6)", _NOT_SEPARATED, (False, True)),
     ("t0-iff-variety-injective", "Zn(6)", _second_point_variety_as_first, (True, False)),
+    (
+        "irreducible-iff-nilradical-primary",
+        "Zn(8)",
+        _with_prim(closed_sets=_SPLIT_ZN8, _closed_set_set=set(_SPLIT_ZN8)),
+        (False, True),
+    ),
+    ("irreducible-iff-nilradical-primary", "Zn(8)", _nilradical_not_primary, (True, False)),
 ]
 
 
@@ -840,6 +858,12 @@ def _with_prim_bit_flipped(attr, index, pos):
     return mutate
 
 
+def _first_point_variety_full(a):
+    varieties = list(a.prim.varieties)
+    varieties[a.prim.points[0]] = a.prim.full
+    return _with_prim(varieties=varieties)(a)
+
+
 # entry, then the ring, a mutation of the law's input and the witness the
 # failed law must name; each ring passes the entry unmutated.  Zn(12) is
 # not reduced: its nilradical is (6), and its points are (4), (3), (2)
@@ -863,6 +887,15 @@ LAW_MUTANTS = {
         "Zn(12)",
         _with_prim_bit_flipped("point_closures", 0, 2),
         "(4), (2)",
+    ),
+    # Zn(6) is a product of two fields: the variety of (3) read as the
+    # whole space, which is the union of the two closed points
+    "point-varieties-irreducible": ("Zn(6)", _first_point_variety_full, "(3)"),
+    # T1 read as failing while T0, T2 and the P-ring flag hold
+    "separation-equivalence": (
+        "Zn(6)",
+        _with_prim(separation=SeparationResult(True, False, True, None)),
+        "t0=True t1=False t2=True",
     ),
 }
 
