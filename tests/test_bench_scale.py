@@ -1,4 +1,5 @@
-"""Smoke test of the scale bench script on small rings."""
+"""Tests of the scale bench script: timing on small rings, and the shapes
+of the rings in its corpus."""
 
 import importlib.util
 from pathlib import Path
